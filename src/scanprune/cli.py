@@ -287,6 +287,8 @@ def cmd_compare(args) -> int:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         records = read_metrics(_require_file(str(run / "metrics.jsonl")))
+        if not records:
+            raise CliError(EXIT_INVALID, f"no epoch records in {run / 'metrics.jsonl'}")
         mean_samples = sum(r.active_size for r in records) / len(records)
         wall = sum(r.wall_ms for r in records)
         probe = float("nan")

@@ -5,6 +5,11 @@ are the primary objects because pruning decisions consume them directly.  The
 gradient routine backpropagates through the L2 normalization and the learnable
 log-temperature and returns the same LossTable as the forward pass, so callers
 never need a second forward for candidate selection.
+
+The loss pass computes each axis's softmax statistics (max, shifted
+exponentials, their sum) once; the backward reuses those exponentials as the
+softmax, so one training step repeats no reduction over S.  The backward
+builds G and the normalization and tanh gradients in place.
 """
 
 from __future__ import annotations
@@ -52,9 +57,28 @@ def similarity_matrix(emb_f: np.ndarray, emb_g: np.ndarray, temp: float) -> np.n
     return (emb_f @ emb_g.T) / temp
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+def _softmax_stats(S: np.ndarray, axis: int):
+    """Softmax statistics of ``S`` along ``axis``: ``(logsumexp, e, s)``.
+
+    ``e = exp(S - max)`` is a fresh array and ``s`` its keepdims sum, so the
+    softmax is ``e / s`` and the caller may divide ``e`` in place.
+    """
+    if S.size == 0:
+        raise InfoNCEError("empty similarity matrix")
+    m = np.max(S, axis=axis, keepdims=True)
+    e = S - m
+    np.exp(e, out=e)
+    s = np.sum(e, axis=axis, keepdims=True)
+    return (m + np.log(s)).squeeze(axis), e, s
+
+
+def _loss_pass(S: np.ndarray, ids):
+    """LossTable of ``S`` plus the row and column ``(e, s)`` softmax statistics."""
+    diag = np.diag(S)
+    lse_row, e_row, s_row = _softmax_stats(S, axis=1)
+    lse_col, e_col, s_col = _softmax_stats(S, axis=0)
+    table = LossTable(fg=lse_row - diag, gf=lse_col - diag, sample_ids=np.asarray(ids))
+    return table, (e_row, s_row), (e_col, s_col)
 
 
 def per_sample_losses(S: np.ndarray, ids: np.ndarray) -> LossTable:
@@ -68,10 +92,7 @@ def per_sample_losses(S: np.ndarray, ids: np.ndarray) -> LossTable:
     if S.shape[0] == 0:
         empty = np.zeros(0)
         return LossTable(fg=empty, gf=empty.copy(), sample_ids=np.asarray(ids))
-    diag = np.diag(S)
-    fg = _logsumexp(S, axis=1) - diag
-    gf = _logsumexp(S, axis=0) - diag
-    return LossTable(fg=fg, gf=gf, sample_ids=np.asarray(ids))
+    return _loss_pass(S, ids)[0]
 
 
 def batch_loss(table: LossTable) -> float:
@@ -80,20 +101,26 @@ def batch_loss(table: LossTable) -> float:
     return float((np.mean(table.fg) + np.mean(table.gf)) / 2.0)
 
 
-def _softmax(S: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(S, axis=axis, keepdims=True)
-    e = np.exp(S - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
 def _backprop_normalize(d_emb: np.ndarray, emb: np.ndarray, z: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
-    """Pull gradients back through row-wise L2 normalization."""
+    """Pull gradients back through row-wise L2 normalization, in place in ``d_emb``."""
     norms = np.linalg.norm(z, axis=1)
     safe = np.where(zero_rows, 1.0, norms)
-    inner = np.sum(d_emb * emb, axis=1, keepdims=True)
-    dz = (d_emb - emb * inner) / safe[:, None]
-    dz[zero_rows] = 0.0
-    return dz
+    t = d_emb * emb
+    inner = np.sum(t, axis=1, keepdims=True)
+    np.multiply(emb, inner, out=t)
+    d_emb -= t
+    d_emb /= safe[:, None]
+    d_emb[zero_rows] = 0.0
+    return d_emb
+
+
+def _backprop_tanh(dz: np.ndarray, w_out: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``(dz @ w_out) * (1 - h*h)``; overwrites the activations ``h``."""
+    dh = dz @ w_out
+    h *= h
+    np.subtract(1.0, h, out=h)
+    dh *= h
+    return dh
 
 
 def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray, ids: np.ndarray | None = None):
@@ -115,30 +142,34 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray, i
     e_g, zero_g = normalize_rows(z_g)
 
     temp = params.temp
-    S = (e_f @ e_g.T) / temp
-    table = per_sample_losses(S, ids)
+    S = e_f @ e_g.T
+    S /= temp
+    table, (p_row, s_row), (p_col, s_col) = _loss_pass(S, ids)
 
     # d(batch_loss)/dS: softmax rows and columns, diagonal targets, mean of
     # both directional means halved.
-    p_row = _softmax(S, axis=1)
-    p_col = _softmax(S, axis=0)
-    eye = np.eye(b)
-    G = (p_row + p_col - 2.0 * eye) / (2.0 * b)
+    p_row /= s_row
+    p_col /= s_col
+    G = p_row
+    G += p_col
+    G.flat[::b + 1] -= 2.0
+    G /= 2.0 * b
 
-    d_log_temp = float(-np.sum(G * S))  # S scales as exp(-log_temp)
+    # S scales as exp(-log_temp); G * S goes into p_col, free once G holds the sum
+    d_log_temp = float(-np.sum(np.multiply(G, S, out=p_col)))
 
-    d_ef = (G @ e_g) / temp
-    d_eg = (G.T @ e_f) / temp
+    d_ef = G @ e_g
+    d_ef /= temp
+    d_eg = G.T @ e_f
+    d_eg /= temp
     dz_f = _backprop_normalize(d_ef, e_f, z_f, zero_f)
     dz_g = _backprop_normalize(d_eg, e_g, z_g, zero_g)
 
     if params.is_mlp:
         g_wf = dz_f.T @ h_f
-        dh_f = (dz_f @ params.w_f) * (1.0 - h_f * h_f)
-        g_wf_hidden = dh_f.T @ batch_a
+        g_wf_hidden = _backprop_tanh(dz_f, params.w_f, h_f).T @ batch_a
         g_wg = dz_g.T @ h_g
-        dh_g = (dz_g @ params.w_g) * (1.0 - h_g * h_g)
-        g_wg_hidden = dh_g.T @ batch_b
+        g_wg_hidden = _backprop_tanh(dz_g, params.w_g, h_g).T @ batch_b
         grads = Gradients(w_f=g_wf, w_g=g_wg, log_temp=d_log_temp,
                           w_f_hidden=g_wf_hidden, w_g_hidden=g_wg_hidden)
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -66,16 +67,25 @@ class TrainConfig:
     hidden_dim: int | None = None
 
     def validate(self) -> None:
+        for name in ("rho", "t_td", "epsilon", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise TrainerError(f"{name} must be finite")
         if not (0.0 < self.rho < 0.5):
             raise TrainerError("rho must lie in (0, 0.5)")
         if self.batch_size < 2:
             raise TrainerError("batch_size must be >= 2 (InfoNCE needs negatives)")
+        if self.tau_cos < 1:
+            raise TrainerError("tau_cos must be >= 1")
         if self.tau_stop <= self.tau_cos:
             raise TrainerError("tau_stop must exceed tau_cos")
+        if self.epsilon <= 0.0:
+            raise TrainerError("epsilon must be positive")
         if self.lr <= 0.0:
             raise TrainerError("lr must be positive")
         if self.out_dim < 1:
             raise TrainerError("out_dim must be >= 1")
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise TrainerError("hidden_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,11 +137,13 @@ def _views(ds: PairedDataset, cfg: TrainConfig):
 
 
 def _apply_sgd(params: EncoderParams, grads, lr: float) -> None:
-    params.w_f -= lr * grads.w_f
-    params.w_g -= lr * grads.w_g
-    if params.is_mlp:
-        params.w_f_hidden -= lr * grads.w_f_hidden
-        params.w_g_hidden -= lr * grads.w_g_hidden
+    """One SGD step in place; consumes ``grads`` by scaling its arrays by ``lr``."""
+    names = ("w_f", "w_g", "w_f_hidden", "w_g_hidden") if params.is_mlp else ("w_f", "w_g")
+    for name in names:
+        g = getattr(grads, name)
+        g *= lr
+        w = getattr(params, name)
+        w -= g
     params.log_temp -= lr * grads.log_temp
     params.clamp_temp()
 

@@ -135,6 +135,25 @@ def test_invalid_config_exit_4(data_file, tmp_path):
     assert main(["schedule", "--tau-cos", "0", "--epochs", "4"]) == 4
 
 
+def test_invalid_numbers_exit_4_before_training(data_file, tmp_path, capsys):
+    cases = (["--epsilon", "0"], ["--lr", "nan"], ["--t-td", "inf"], ["--tau-cos", "0"],
+             ["--mlp", "--hidden-dim", "0"])
+    for i, extra in enumerate(cases):
+        out = tmp_path / f"run{i}"
+        assert _train(data_file, out, *extra) == 4, extra
+        assert "invalid config" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the run directory is made
+
+
+def test_compare_empty_metrics_exit_4(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    (run / "metrics.jsonl").write_text("")
+    capsys.readouterr()
+    assert main(["compare", "--runs", str(run)]) == 4
+    assert "no epoch records" in capsys.readouterr().err
+
+
 def test_seed_env_fallback(data_file, tmp_path, monkeypatch):
     monkeypatch.setenv("SCAN_SEED", "7")
     out = tmp_path / "run"

@@ -13,6 +13,7 @@ from scanprune import (
     per_sample_losses,
     similarity_matrix,
 )
+from scanprune.encoder import forward_tower, normalize_rows
 from scanprune.infonce import InfoNCEError
 
 
@@ -182,3 +183,85 @@ def test_loss_table_reused_from_forward_pass():
     expect = per_sample_losses(similarity_matrix(ef, eg, p.temp), np.arange(5))
     assert np.allclose(table.fg, expect.fg, atol=1e-12)
     assert np.allclose(table.gf, expect.gf, atol=1e-12)
+
+
+def _reference_gradients(p, a, b):
+    """The gradient step composed as separate passes: logsumexp for the loss
+    table, two more softmax passes over S, ``2 * eye`` and an out-of-place
+    backward.  ``gradients`` must reproduce it bit for bit."""
+
+    def logsumexp(x, axis):
+        m = np.max(x, axis=axis, keepdims=True)
+        return (m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))).squeeze(axis)
+
+    def softmax(x, axis):
+        m = np.max(x, axis=axis, keepdims=True)
+        e = np.exp(x - m)
+        return e / np.sum(e, axis=axis, keepdims=True)
+
+    def backprop_normalize(d_emb, emb, z, zero_rows):
+        safe = np.where(zero_rows, 1.0, np.linalg.norm(z, axis=1))
+        inner = np.sum(d_emb * emb, axis=1, keepdims=True)
+        dz = (d_emb - emb * inner) / safe[:, None]
+        dz[zero_rows] = 0.0
+        return dz
+
+    n = a.shape[0]
+    z_f, h_f = forward_tower(p, Tower.F, a)
+    z_g, h_g = forward_tower(p, Tower.G, b)
+    e_f, zero_f = normalize_rows(z_f)
+    e_g, zero_g = normalize_rows(z_g)
+    S = (e_f @ e_g.T) / p.temp
+    diag = np.diag(S)
+    G = (softmax(S, 1) + softmax(S, 0) - 2.0 * np.eye(n)) / (2.0 * n)
+    want = {"fg": logsumexp(S, 1) - diag, "gf": logsumexp(S, 0) - diag,
+            "log_temp": float(-np.sum(G * S))}
+    dz_f = backprop_normalize((G @ e_g) / p.temp, e_f, z_f, zero_f)
+    dz_g = backprop_normalize((G.T @ e_f) / p.temp, e_g, z_g, zero_g)
+    if p.is_mlp:
+        want["w_f"] = dz_f.T @ h_f
+        want["w_f_hidden"] = ((dz_f @ p.w_f) * (1.0 - h_f * h_f)).T @ a
+        want["w_g"] = dz_g.T @ h_g
+        want["w_g_hidden"] = ((dz_g @ p.w_g) * (1.0 - h_g * h_g)).T @ b
+    else:
+        want["w_f"] = dz_f.T @ a
+        want["w_g"] = dz_g.T @ b
+    return S, want
+
+
+@pytest.mark.parametrize("mlp", [False, True])
+@pytest.mark.parametrize("n,dim,out_dim,hidden", [(7, 6, 3, 5), (64, 32, 8, 48)])
+def test_gradients_bit_identical_to_reference(mlp, n, dim, out_dim, hidden):
+    rng = np.random.default_rng(11)
+    for seed in range(4):
+        p = init_params(dim, out_dim, seed=seed, mlp=mlp, hidden_dim=hidden if mlp else None)
+        p.log_temp = float(rng.uniform(math.log(0.01), math.log(100.0)))
+        a = rng.standard_normal((n, dim))
+        b = rng.standard_normal((n, dim))
+        if seed == 3:  # zero inputs give zero-norm embedding rows in both towers
+            a[2] = 0.0
+            b[n - 1] = 0.0
+        a0, b0, p0 = a.copy(), b.copy(), p.copy()
+
+        grads, table = gradients(p, a, b)
+        S, want = _reference_gradients(p, a, b)
+
+        names = ["w_f", "w_g"] + (["w_f_hidden", "w_g_hidden"] if mlp else [])
+        for name in names:
+            assert np.array_equal(getattr(grads, name), want[name]), name
+        assert grads.log_temp == want["log_temp"]
+        assert np.array_equal(table.fg, want["fg"]) and np.array_equal(table.gf, want["gf"])
+        alone = per_sample_losses(S, np.arange(n))
+        assert np.array_equal(alone.fg, want["fg"]) and np.array_equal(alone.gf, want["gf"])
+
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        for name in names:
+            assert np.array_equal(getattr(p, name), getattr(p0, name)), name
+        assert p.log_temp == p0.log_temp
+
+
+def test_gradients_empty_batch_errors():
+    for mlp in (False, True):
+        p = init_params(4, 2, seed=0, mlp=mlp, hidden_dim=3 if mlp else None)
+        with pytest.raises(InfoNCEError):
+            gradients(p, np.zeros((0, 4)), np.zeros((0, 4)))

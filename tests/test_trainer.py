@@ -17,10 +17,12 @@ from scanprune import (
     train_scan,
     train_static_coreset,
 )
+from scanprune.infonce import gradients
 from scanprune.trainer import (
     CheckpointError,
     TrainerError,
     TrainingDivergedError,
+    _apply_sgd,
     init_params,
     read_metrics,
     write_metrics,
@@ -182,10 +184,30 @@ def test_divergence_guard():
 
 
 def test_config_validation():
-    for bad in (dict(rho=0.0), dict(rho=0.5), dict(batch_size=1),
-                dict(tau_stop=3), dict(lr=0.0), dict(out_dim=0)):
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(rho=0.0), dict(rho=0.5), dict(rho=nan), dict(batch_size=1),
+                dict(tau_stop=3), dict(tau_cos=0), dict(lr=0.0), dict(lr=nan), dict(lr=inf),
+                dict(t_td=nan), dict(t_td=inf), dict(epsilon=0.0), dict(epsilon=nan),
+                dict(epsilon=inf), dict(out_dim=0), dict(mlp=True, hidden_dim=0)):
+        cfg = _cfg(**bad)
         with pytest.raises(TrainerError):
-            train_full(_ds(n=16), _cfg(**bad))
+            cfg.validate()
+        with pytest.raises(TrainerError):
+            train_full(_ds(n=16), cfg)
+
+
+def test_apply_sgd_matches_out_of_place_update():
+    for mlp in (False, True):
+        p = init_params(6, 3, seed=0, mlp=mlp, hidden_dim=5 if mlp else None)
+        rng = np.random.default_rng(0)
+        grads, _ = gradients(p, rng.standard_normal((8, 6)), rng.standard_normal((8, 6)))
+        names = ("w_f", "w_g", "w_f_hidden", "w_g_hidden") if mlp else ("w_f", "w_g")
+        want = {name: getattr(p, name) - 0.3 * getattr(grads, name) for name in names}
+        want_log_temp = p.log_temp - 0.3 * grads.log_temp
+        _apply_sgd(p, grads, 0.3)
+        for name in names:
+            assert np.array_equal(getattr(p, name), want[name]), name
+        assert p.log_temp == want_log_temp
 
 
 def test_view_pair_mode_runs():
