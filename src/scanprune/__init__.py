@@ -21,8 +21,6 @@ from scanprune.encoder import EncoderParams, Tower, encode, init_params
 from scanprune.infonce import LossTable, batch_loss, gradients, per_sample_losses, similarity_matrix
 from scanprune.scheduler import Phase, ScheduleState, mutation_ratio, round_phase, should_start_pruning
 from scanprune.pruner import (
-    ActiveView,
-    CandidateEntry,
     CandidateSet,
     Tag,
     accumulate,
@@ -70,9 +68,7 @@ __all__ = [
     "mutation_ratio",
     "round_phase",
     "Tag",
-    "CandidateEntry",
     "CandidateSet",
-    "ActiveView",
     "select_batch_candidates",
     "merge_directions",
     "accumulate",

@@ -19,8 +19,9 @@ from pathlib import Path
 from scanprune import coreset as coreset_mod
 from scanprune import dataset as dataset_mod
 from scanprune import trainer as trainer_mod
-from scanprune.coreset import PrunedSummary, export_coreset
+from scanprune.coreset import CoresetError, PrunedSummary, export_coreset
 from scanprune.dataset import DatasetError, GenSpec, generate_paired_dataset, load_dataset, save_dataset
+from scanprune.pruner import CandidateSet, PrunerError, Tag
 from scanprune.scheduler import SchedulerError, phase_table
 from scanprune.trainer import (
     Mode,
@@ -170,6 +171,14 @@ def cmd_train(args) -> int:
     except DatasetError as exc:
         raise CliError(EXIT_INVALID, f"bad dataset file: {exc}") from exc
 
+    if args.method == "static":
+        if not args.coreset:
+            raise CliError(EXIT_INVALID, "--coreset is required for method=static")
+        try:
+            coreset_ids = coreset_mod.load_coreset(_require_file(args.coreset))
+        except CoresetError as exc:
+            raise CliError(EXIT_INVALID, f"bad coreset file: {exc}") from exc
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trainers = {
@@ -179,10 +188,7 @@ def cmd_train(args) -> int:
     }
     try:
         if args.method == "static":
-            if not args.coreset:
-                raise CliError(EXIT_INVALID, "--coreset is required for method=static")
-            ids = coreset_mod.load_coreset(_require_file(args.coreset))
-            result = train_static_coreset(ds, ids, cfg)
+            result = train_static_coreset(ds, coreset_ids, cfg)
         else:
             result = trainers[args.method](ds, cfg)
     except TrainerError as exc:
@@ -204,14 +210,15 @@ def cmd_train(args) -> int:
 
     if result.candidate_history:
         final = result.candidate_history[-1]
+        tags = [(Tag.REDUNDANT if r else Tag.ILL_MATCHED).value for r in final.redundant.tolist()]
         cand_path = out / "candidates.json"
         with open(cand_path, "w") as fh:
             json.dump({
                 "n": ds.n,
                 "built_at_epoch": final.built_at_epoch,
                 "entries": [
-                    {"sample_id": e.sample_id, "tag": e.tag.value, "rank_score": e.rank_score}
-                    for e in final.entries
+                    {"sample_id": sid, "tag": tag, "rank_score": score}
+                    for sid, tag, score in zip(final.ids.tolist(), tags, final.scores.tolist())
                 ],
             }, fh)
         artifacts.append(cand_path.name)
@@ -251,12 +258,25 @@ def cmd_schedule(args) -> int:
 # ----------------------------------------------------------- export-coreset
 
 def _summary_from_run(run_dir: str) -> PrunedSummary:
-    cand_path = _require_file(str(Path(run_dir) / "candidates.json"))
-    with open(cand_path) as fh:
-        data = json.load(fh)
-    scores = {int(e["sample_id"]): float(e["rank_score"]) for e in data["entries"]}
-    return PrunedSummary(run_id=str(run_dir), pruned_ids=frozenset(scores),
-                         n=int(data["n"]), scores=scores)
+    """A run's ``candidates.json`` as a summary; malformed content exits 4."""
+    path = _require_file(str(Path(run_dir) / "candidates.json"))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        n, entries = data["n"], data["entries"]
+        ids = [e["sample_id"] for e in entries]
+        if not all(type(v) is int for v in (n, *ids)) or n < 0:
+            raise ValueError("n and every sample_id must be non-negative integers")
+        cands = CandidateSet(
+            ids=ids,
+            redundant=[Tag(e["tag"]) is Tag.REDUNDANT for e in entries],
+            scores=[float(e["rank_score"]) for e in entries],
+            built_at_epoch=int(data["built_at_epoch"]),
+        )
+        cands.validate(n)
+    except (ValueError, KeyError, TypeError, OverflowError, PrunerError) as exc:
+        raise CliError(EXIT_INVALID, f"bad candidates file {path}: {exc}") from exc
+    return PrunedSummary.from_candidates(str(run_dir), cands, n)
 
 
 def cmd_export_coreset(args) -> int:
@@ -264,7 +284,7 @@ def cmd_export_coreset(args) -> int:
     b = _summary_from_run(args.run_b)
     try:
         ids = export_coreset(a, b, args.rho)
-    except coreset_mod.CoresetError as exc:
+    except CoresetError as exc:
         raise CliError(EXIT_INVALID, str(exc)) from exc
     coreset_mod.save_coreset(ids, a.n, args.rho, (args.run_a, args.run_b), args.out)
     print(f"wrote {args.out} |coreset|={len(ids)} of n={a.n}")
@@ -284,18 +304,28 @@ def cmd_compare(args) -> int:
     for run_dir in args.runs.split(","):
         run = Path(run_dir)
         manifest_path = _require_file(str(run / "manifest.json"))
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        records = read_metrics(_require_file(str(run / "metrics.jsonl")))
+        metrics_path = _require_file(str(run / "metrics.jsonl"))
+        try:
+            with open(manifest_path) as fh:
+                method = str(json.load(fh)["method"])
+            records = read_metrics(metrics_path)
+        except (ValueError, KeyError, TypeError, TrainerError) as exc:
+            raise CliError(EXIT_INVALID, f"bad run directory {run}: {exc}") from exc
         if not records:
-            raise CliError(EXIT_INVALID, f"no epoch records in {run / 'metrics.jsonl'}")
+            raise CliError(EXIT_INVALID, f"no epoch records in {metrics_path}")
         mean_samples = sum(r.active_size for r in records) / len(records)
         wall = sum(r.wall_ms for r in records)
         probe = float("nan")
         if ds is not None:
-            params = load_checkpoint(_require_file(str(run / "checkpoint.bin")))
-            probe = linear_probe(params, ds, args.probe_seed)
-        rows.append((manifest["method"], run_dir, probe, mean_samples, wall))
+            try:
+                params = load_checkpoint(_require_file(str(run / "checkpoint.bin")))
+                if params.dim != ds.dim:
+                    raise CliError(EXIT_INVALID, f"{run}: checkpoint dim {params.dim} "
+                                                 f"differs from dataset dim {ds.dim}")
+                probe = linear_probe(params, ds, args.probe_seed)
+            except TrainerError as exc:
+                raise CliError(EXIT_INVALID, f"cannot probe {run}: {exc}") from exc
+        rows.append((method, run_dir, probe, mean_samples, wall))
     print(f"{'method':<8} {'run':<24} {'probe_acc':>10} {'mean_samples':>13} {'wall_ms':>10}")
     for method, run_dir, probe, mean_samples, wall in rows:
         print(f"{method:<8} {run_dir:<24} {_fmt(probe):>10} {_fmt(mean_samples):>13} {_fmt(wall):>10}")

@@ -29,7 +29,7 @@ class PrunedSummary:
 
     @staticmethod
     def from_candidates(run_id: str, candidates: CandidateSet, n: int) -> "PrunedSummary":
-        scores = {e.sample_id: e.rank_score for e in candidates.entries}
+        scores = dict(zip(candidates.ids.tolist(), candidates.scores.tolist()))
         return PrunedSummary(run_id=run_id, pruned_ids=frozenset(scores), n=n, scores=scores)
 
 
@@ -85,9 +85,12 @@ def save_coreset(ids, n: int, rho: float, runs: tuple[str, str], path) -> None:
 def load_coreset(path) -> list[int]:
     ids = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            ids.append(int(line))
+            try:
+                ids.append(int(line))
+            except ValueError as exc:
+                raise CoresetError(f"{path}:{lineno}: not an integer id: {line!r}") from exc
     return ids

@@ -13,6 +13,7 @@ so equal seeds reproduce bit-identical datasets.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -218,6 +219,13 @@ def load_dataset(path) -> PairedDataset:
         if version != _VERSION:
             raise VersionMismatchError(f"unsupported version {version}")
         (num_classes,) = struct.unpack("<I", _read_exact(fh, 4))
+        # Check the declared sizes before reading, so a corrupt header cannot
+        # ask for an impossible allocation.
+        payload = n * (8 * dim + 5)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload > left:
+            raise TruncatedFileError(f"header declares n={n} dim={dim} ({payload} payload bytes), "
+                                     f"file has {left}")
         view_a = np.frombuffer(_read_exact(fh, 4 * n * dim), dtype="<f4").reshape(n, dim)
         view_b = np.frombuffer(_read_exact(fh, 4 * n * dim), dtype="<f4").reshape(n, dim)
         labels = np.frombuffer(_read_exact(fh, 4 * n), dtype="<u4")

@@ -6,12 +6,24 @@ directions are merged by intersection first, then topped up from a combined
 rank ordering so each category always contributes exactly k ids.  Candidate
 sets accumulate over one preparation epoch and are redrawn from scratch each
 round; mutation epochs exclude a seeded uniform draw from the candidates.
+
+A ``CandidateSet`` is three parallel NumPy arrays with one slot per
+candidate: ``ids`` (int64 sample ids), ``redundant`` (bool; False means
+ill-matched) and ``scores`` (float64 confidence in [0, 1]).  A batch's set
+holds its k redundant ids in ascending id order, then its k ill-matched ids
+in ascending id order; ``accumulate`` concatenates the batches in training
+order.  Exclusions and active sets are sorted int64 id arrays.
+
+``select_batch_candidates``, ``rank_orders`` and ``merge_directions`` compose
+the same selection step by step on Python sets; ``batch_candidates`` is the
+vectorised path the trainer runs, and the tests check it against the
+composition.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,32 +37,41 @@ class Tag(enum.Enum):
     ILL_MATCHED = "ill_matched"
 
 
-@dataclass(frozen=True)
-class CandidateEntry:
-    sample_id: int
-    tag: Tag
-    rank_score: float  # higher = more confidently prunable
-
-
-@dataclass
+@dataclass(eq=False)
 class CandidateSet:
-    entries: list[CandidateEntry] = field(default_factory=list)
+    """One round's candidates as parallel arrays, one slot per candidate."""
+
+    ids: np.ndarray  # int64 sample ids
+    redundant: np.ndarray  # bool tag: True redundant, False ill-matched
+    scores: np.ndarray  # float64 in [0, 1]; higher = more confidently prunable
     built_at_epoch: int = 0
 
-    def ids(self) -> list[int]:
-        return [e.sample_id for e in self.entries]
+    def __post_init__(self) -> None:
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.redundant = np.asarray(self.redundant, dtype=bool)
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        if not (self.ids.ndim == 1 and self.ids.shape == self.redundant.shape == self.scores.shape):
+            raise PrunerError("ids, redundant and scores must be 1-D arrays of one length")
 
-    def ids_by_tag(self, tag: Tag) -> list[int]:
-        return [e.sample_id for e in self.entries if e.tag is tag]
+    def ids_by_tag(self, tag: Tag) -> np.ndarray:
+        return self.ids[self.redundant == (tag is Tag.REDUNDANT)]
+
+    def validate(self, n: int) -> None:
+        """Raise unless the ids are distinct and in [0, n) and the scores finite."""
+        if self.ids.size and (self.ids.min() < 0 or self.ids.max() >= n):
+            raise PrunerError(f"candidate ids must lie in [0, {n})")
+        _check_distinct(self.ids)
+        if not np.isfinite(self.scores).all():
+            raise PrunerError("candidate scores must be finite")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.ids.size
 
 
-@dataclass(frozen=True)
-class ActiveView:
-    excluded: frozenset
-    epoch: int
+def _check_distinct(ids: np.ndarray) -> None:
+    uniq, counts = np.unique(ids, return_counts=True)
+    if uniq.size != ids.size:
+        raise PrunerError(f"sample {int(uniq[counts > 1][0])} appears more than once")
 
 
 @dataclass(frozen=True)
@@ -131,7 +152,7 @@ def merge_directions(fg_red, fg_ill, gf_red, gf_ill, target: int, ranked_fallbac
     return set(red), set(ill)
 
 
-def batch_candidates(fg_losses, gf_losses, ids, rho: float) -> list[CandidateEntry]:
+def batch_candidates(fg_losses, gf_losses, ids, rho: float) -> CandidateSet:
     """Full per-batch pipeline: per-direction selection, merge, scoring.
 
     Equivalent to composing select_batch_candidates / rank_orders /
@@ -144,7 +165,7 @@ def batch_candidates(fg_losses, gf_losses, ids, rho: float) -> list[CandidateEnt
     b = ids.shape[0]
     k = int(rho * b + 1e-9)
     if k == 0:
-        return []
+        return CandidateSet(ids[:0], [], [])
     fg = np.asarray(fg_losses, dtype=np.float64)
     gf = np.asarray(gf_losses, dtype=np.float64)
     if not (np.isfinite(fg).all() and np.isfinite(gf).all()):
@@ -185,52 +206,45 @@ def batch_candidates(fg_losses, gf_losses, ids, rho: float) -> list[CandidateEnt
     red_pos[red_order] = arange
     ill_pos = np.empty(b, dtype=np.int64)
     ill_pos[ill_order] = arange
-    red = by_id(red)
-    ill = by_id(ill)
-    entries = [
-        CandidateEntry(sid, Tag.REDUNDANT, score)
-        for sid, score in zip(ids[red].tolist(), (1.0 - red_pos[red] / denom).tolist())
-    ]
-    entries.extend(
-        CandidateEntry(sid, Tag.ILL_MATCHED, score)
-        for sid, score in zip(ids[ill].tolist(), (1.0 - ill_pos[ill] / denom).tolist())
+    keep = np.concatenate((by_id(red), by_id(ill)))
+    return CandidateSet(
+        ids=ids[keep],
+        redundant=np.repeat([True, False], k),
+        scores=1.0 - np.concatenate((red_pos[keep[:k]], ill_pos[keep[k:]])) / denom,
     )
-    return entries
 
 
 def accumulate(epoch_candidates, built_at_epoch: int = 0) -> CandidateSet:
-    """Union of per-batch candidate lists; duplicate ids are a sampler bug."""
-    entries = [e for batch_entries in epoch_candidates for e in batch_entries]
-    ids = np.fromiter((e.sample_id for e in entries), dtype=np.int64, count=len(entries))
-    uniq, counts = np.unique(ids, return_counts=True)
-    if uniq.size != ids.size:
-        raise PrunerError(f"sample {int(uniq[counts > 1][0])} appeared in two batches")
-    return CandidateSet(entries=entries, built_at_epoch=built_at_epoch)
+    """Concatenation of per-batch candidate sets; duplicate ids are a sampler bug."""
+    sets = list(epoch_candidates) or [CandidateSet([], [], [])]
+    merged = CandidateSet(
+        ids=np.concatenate([c.ids for c in sets]),
+        redundant=np.concatenate([c.redundant for c in sets]),
+        scores=np.concatenate([c.scores for c in sets]),
+        built_at_epoch=built_at_epoch,
+    )
+    _check_distinct(merged.ids)
+    return merged
 
 
-def sample_pruned(candidates: CandidateSet, rho_cur: float, seed: int, epoch: int = 0) -> ActiveView:
-    """Uniform draw of round(rho_cur * |candidates|) ids to exclude."""
+def sample_pruned(candidates: CandidateSet, rho_cur: float, seed: int) -> np.ndarray:
+    """Sorted ids of a uniform draw of round(rho_cur * |candidates|) candidates to exclude."""
     if not (0.0 <= rho_cur <= 1.0):
         raise PrunerError("rho_cur must lie in [0, 1]")
-    entries = candidates.entries
-    ids = np.sort(np.fromiter((e.sample_id for e in entries), dtype=np.int64, count=len(entries)))
+    ids = np.sort(candidates.ids)
     size = round(rho_cur * ids.size)
+    if size == 0:
+        return ids[:0]
     rng = np.random.Generator(np.random.PCG64(seed))
-    if size == 0 or ids.size == 0:
-        chosen: list[int] = []
-    else:
-        chosen = rng.choice(ids, size=size, replace=False).tolist()
-    return ActiveView(excluded=frozenset(chosen), epoch=epoch)
+    return np.sort(rng.choice(ids, size=size, replace=False))
 
 
-def active_indices(n: int, view: ActiveView) -> list[int]:
-    """Sorted ids of samples that remain in play."""
-    if not view.excluded:
-        return list(range(n))
-    excluded = np.fromiter(view.excluded, dtype=np.int64, count=len(view.excluded))
-    if excluded.min() < 0 or excluded.max() >= n:
+def active_indices(n: int, excluded) -> np.ndarray:
+    """Sorted ids in [0, n) that are not in ``excluded``."""
+    excluded = np.asarray(excluded, dtype=np.int64)
+    if excluded.size and (excluded.min() < 0 or excluded.max() >= n):
         bad = excluded[(excluded < 0) | (excluded >= n)][0]
         raise PrunerError(f"excluded id {int(bad)} out of range for n={n}")
     keep = np.ones(n, dtype=bool)
     keep[excluded] = False
-    return np.nonzero(keep)[0].tolist()
+    return np.flatnonzero(keep)

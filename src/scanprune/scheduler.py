@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class SchedulerError(Exception):
@@ -114,13 +114,5 @@ def round_phase(state: ScheduleState) -> Phase:
 
 def phase_table(tau_cos: int, epochs: int):
     """Post-warm-up phase sequence for ``epochs`` epochs starting at a Prepare."""
-    if tau_cos < 1:
-        raise SchedulerError("tau_cos must be >= 1")
-    rows = []
-    for e in range(epochs):
-        m = e % (tau_cos + 1)
-        if m == 0:
-            rows.append((e, Phase(PhaseKind.PREPARE, 0.0)))
-        else:
-            rows.append((e, Phase(PhaseKind.MUTATE, mutation_ratio(e, tau_cos))))
-    return rows
+    state = ScheduleState(tau_cos, tau_cos + 1, t_td=0.0, warmup_done=True, warmup_end=0)
+    return [(e, round_phase(replace(state, tau_cur=e))) for e in range(epochs)]

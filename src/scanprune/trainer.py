@@ -11,23 +11,17 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from scanprune.dataset import PairedDataset
 from scanprune.encoder import EncoderParams, Tower, encode, init_params
 from scanprune.infonce import gradients
-from scanprune.pruner import (
-    ActiveView,
-    CandidateSet,
-    accumulate,
-    active_indices,
-    batch_candidates,
-    sample_pruned,
-)
+from scanprune.pruner import CandidateSet, accumulate, active_indices, batch_candidates, sample_pruned
 from scanprune.scheduler import PhaseKind, ScheduleState, round_phase
 
 CHECKPOINT_MAGIC = b"SCNP"
@@ -148,158 +142,113 @@ def _apply_sgd(params: EncoderParams, grads, lr: float) -> None:
     params.clamp_temp()
 
 
-class _EpochStats:
-    def __init__(self):
-        self.sum_fg = 0.0
-        self.sum_gf = 0.0
-        self.count = 0
-        self.batches = 0
-        self.bookkeep_s = 0.0
+def _run_epoch(params, a, b, order, cfg, keep_tables: bool):
+    """Train over ``order`` in batches.
 
-
-def _run_epoch(params, a, b, order, cfg, collect_rho=None, stats=None):
-    """Train over ``order`` in batches; optionally collect pruning candidates.
-
-    Selection runs as one tight pass over the recorded loss tables after the
-    epoch, not interleaved with the gradient steps, so its cost stays small.
+    Returns the mean fg and gf losses, the batch count and, if asked, each
+    batch's ``(fg, gf, ids)`` loss table, so candidate selection can run as one
+    tight pass after the epoch instead of between the gradient steps.
     """
-    stats = stats if stats is not None else _EpochStats()
+    starts = range(0, len(order), cfg.batch_size)
+    sum_fg = sum_gf = 0.0
     tables = []
-    for start in range(0, len(order), cfg.batch_size):
+    for start in starts:
         ids = order[start:start + cfg.batch_size]
         grads, table = gradients(params, a[ids], b[ids], ids=ids)
-        stats.sum_fg += float(np.sum(table.fg))
-        stats.sum_gf += float(np.sum(table.gf))
-        stats.count += len(ids)
-        stats.batches += 1
-        if collect_rho is not None:
+        sum_fg += float(np.sum(table.fg))
+        sum_gf += float(np.sum(table.gf))
+        if keep_tables:
             tables.append((table.fg, table.gf, ids))
         _apply_sgd(params, grads, cfg.lr)
-    batch_lists = []
-    if collect_rho is not None:
-        t0 = time.process_time()
-        batch_lists = [batch_candidates(fg, gf, ids, collect_rho) for fg, gf, ids in tables]
-        stats.bookkeep_s += time.process_time() - t0
-    return stats, batch_lists
+    return sum_fg / len(order), sum_gf / len(order), len(starts), tables
 
 
-def _check_finite(mean_fg: float, mean_gf: float, epoch: int) -> None:
-    if not (np.isfinite(mean_fg) and np.isfinite(mean_gf)):
-        raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+def _train(ds: PairedDataset, cfg: TrainConfig, active_ids, label: str | None = None) -> RunResult:
+    """The epoch loop every method shares.
 
-
-def train_scan(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
-    """Warm-up, then rounds of candidate preparation and cosine-ramp pruning."""
+    ``active_ids(epoch, phase, result)`` returns the sorted ids the epoch
+    trains on.  Scan (``label`` None) names epochs by phase and collects
+    candidates at Prepare epochs; a baseline names its post-warm-up epochs
+    ``label`` and records a mutation ratio of 0.
+    """
     cfg.validate()
     if ds.n == 0:
         raise TrainerError("dataset is empty")
+    scan = label is None
     a, b = _views(ds, cfg)
     params = init_params(ds.dim, cfg.out_dim, cfg.seed, mlp=cfg.mlp, hidden_dim=cfg.hidden_dim)
     state = ScheduleState(cfg.tau_cos, cfg.tau_stop, cfg.t_td, cfg.epsilon)
     result = RunResult(params=params, records=[])
-    current: CandidateSet | None = None
+    history = result.candidate_history
     t_run = time.perf_counter()
     c_run = time.process_time()
     for epoch in range(cfg.tau_stop):
         t0 = time.perf_counter()
         phase = round_phase(state)
-        bookkeep_s = 0.0
-        if phase.kind is PhaseKind.MUTATE:
-            if current is None:
-                raise TrainerError("mutation epoch without a candidate set")
+        order = _shuffle_rng(cfg.seed, epoch).permutation(active_ids(epoch, phase, result))
+        collect = scan and phase.kind is PhaseKind.PREPARE
+        mean_fg, mean_gf, batches, tables = _run_epoch(params, a, b, order, cfg, collect)
+        if collect:
             tb = time.process_time()
-            view = sample_pruned(current, phase.rho_cur, _derived_seed(cfg.seed, epoch, 1), epoch)
-            active = np.asarray(active_indices(ds.n, view))
-            bookkeep_s += time.process_time() - tb
-            result.exclusions[epoch] = sorted(view.excluded)
-        else:
-            active = np.arange(ds.n)
-        order = _shuffle_rng(cfg.seed, epoch).permutation(active)
-        collect = cfg.rho if phase.kind is PhaseKind.PREPARE else None
-        stats, batch_lists = _run_epoch(params, a, b, order, cfg, collect_rho=collect)
-        bookkeep_s += stats.bookkeep_s
-        if collect is not None:
-            tb = time.process_time()
-            current = accumulate(batch_lists, built_at_epoch=epoch)
-            bookkeep_s += time.process_time() - tb
-            result.candidate_history.append(current)
-        mean_fg = stats.sum_fg / stats.count
-        mean_gf = stats.sum_gf / stats.count
-        _check_finite(mean_fg, mean_gf, epoch)
+            history.append(accumulate(
+                [batch_candidates(fg, gf, ids, cfg.rho) for fg, gf, ids in tables],
+                built_at_epoch=epoch))
+            result.bookkeep_ms += (time.process_time() - tb) * 1e3
+        if not (np.isfinite(mean_fg) and np.isfinite(mean_gf)):
+            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         result.records.append(EpochRecord(
             epoch=epoch,
-            phase=phase.name,
+            phase=phase.name if scan or phase.kind is PhaseKind.WARMUP else label,
             active_size=len(order),
             mean_loss_fg=mean_fg,
             mean_loss_gf=mean_gf,
-            rho_cur=phase.rho_cur,
+            rho_cur=phase.rho_cur if scan else 0.0,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            candidate_size=len(current) if current is not None else 0,
+            candidate_size=len(history[-1]) if history else 0,
         ))
-        result.forward_passes += stats.batches
-        result.batches_per_epoch.append(stats.batches)
-        result.bookkeep_ms += bookkeep_s * 1e3
+        result.forward_passes += batches
+        result.batches_per_epoch.append(batches)
         state.record_epoch_loss((mean_fg + mean_gf) / 2.0)
     result.wall_ms = (time.perf_counter() - t_run) * 1e3
     result.cpu_ms = (time.process_time() - c_run) * 1e3
     return result
 
 
-def _train_plain(ds: PairedDataset, cfg: TrainConfig, pick_active, phase_name: str) -> RunResult:
-    """Shared loop for the non-bootstrapping trainers."""
-    cfg.validate()
-    if ds.n == 0:
-        raise TrainerError("dataset is empty")
-    a, b = _views(ds, cfg)
-    params = init_params(ds.dim, cfg.out_dim, cfg.seed, mlp=cfg.mlp, hidden_dim=cfg.hidden_dim)
-    state = ScheduleState(cfg.tau_cos, cfg.tau_stop, cfg.t_td, cfg.epsilon)
-    result = RunResult(params=params, records=[])
-    t_run = time.perf_counter()
-    c_run = time.process_time()
-    for epoch in range(cfg.tau_stop):
-        t0 = time.perf_counter()
-        active = pick_active(epoch, state)
-        order = _shuffle_rng(cfg.seed, epoch).permutation(active)
-        stats, _ = _run_epoch(params, a, b, order, cfg)
-        mean_fg = stats.sum_fg / stats.count
-        mean_gf = stats.sum_gf / stats.count
-        _check_finite(mean_fg, mean_gf, epoch)
-        result.records.append(EpochRecord(
-            epoch=epoch,
-            phase=phase_name if state.warmup_done else PhaseKind.WARMUP.value,
-            active_size=len(order),
-            mean_loss_fg=mean_fg,
-            mean_loss_gf=mean_gf,
-            rho_cur=0.0,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            candidate_size=0,
-        ))
-        result.forward_passes += stats.batches
-        result.batches_per_epoch.append(stats.batches)
-        state.record_epoch_loss((mean_fg + mean_gf) / 2.0)
-    result.wall_ms = (time.perf_counter() - t_run) * 1e3
-    result.cpu_ms = (time.process_time() - c_run) * 1e3
-    return result
+def train_scan(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
+    """Warm-up, then rounds of candidate preparation and cosine-ramp pruning."""
+
+    def active_ids(epoch: int, phase, result: RunResult):
+        if phase.kind is not PhaseKind.MUTATE:
+            return np.arange(ds.n)
+        if not result.candidate_history:
+            raise TrainerError("mutation epoch without a candidate set")
+        tb = time.process_time()
+        excluded = sample_pruned(result.candidate_history[-1], phase.rho_cur,
+                                 _derived_seed(cfg.seed, epoch, 1))
+        active = active_indices(ds.n, excluded)
+        result.bookkeep_ms += (time.process_time() - tb) * 1e3
+        result.exclusions[epoch] = excluded.tolist()
+        return active
+
+    return _train(ds, cfg, active_ids)
 
 
 def train_full(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
     """Every epoch trains on all n samples."""
-    return _train_plain(ds, cfg, lambda epoch, state: np.arange(ds.n), "Full")
+    return _train(ds, cfg, lambda epoch, phase, result: np.arange(ds.n), "Full")
 
 
 def train_random_baseline(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
     """Post-warm-up epochs uniformly drop floor(rho * n) samples, redrawn each epoch."""
-    cfg.validate()
-    drop = int(cfg.rho * ds.n + 1e-9)
 
-    def pick(epoch: int, state: ScheduleState):
-        if not state.warmup_done or drop == 0:
-            return np.arange(ds.n)
-        rng = _shuffle_rng(cfg.seed, epoch, stream=3)
-        dropped = set(rng.choice(ds.n, size=drop, replace=False).tolist())
-        return np.asarray([i for i in range(ds.n) if i not in dropped])
+    def active_ids(epoch: int, phase, result: RunResult):
+        keep = np.ones(ds.n, dtype=bool)
+        drop = int(cfg.rho * ds.n + 1e-9)
+        if phase.kind is not PhaseKind.WARMUP and drop > 0:
+            keep[_shuffle_rng(cfg.seed, epoch, stream=3).choice(ds.n, size=drop, replace=False)] = False
+        return np.flatnonzero(keep)
 
-    return _train_plain(ds, cfg, pick, "Random")
+    return _train(ds, cfg, active_ids, "Random")
 
 
 def train_static_coreset(ds: PairedDataset, coreset_ids, cfg: TrainConfig) -> RunResult:
@@ -309,7 +258,7 @@ def train_static_coreset(ds: PairedDataset, coreset_ids, cfg: TrainConfig) -> Ru
         raise TrainerError("coreset is empty")
     if ids.min() < 0 or ids.max() >= ds.n:
         raise TrainerError("coreset ids out of range")
-    return _train_plain(ds, cfg, lambda epoch, state: ids, "Static")
+    return _train(ds, cfg, lambda epoch, phase, result: ids, "Static")
 
 
 def linear_probe(params: EncoderParams, ds: PairedDataset, probe_seed: int) -> float:
@@ -373,21 +322,21 @@ def load_checkpoint(path) -> EncoderParams:
         version, is_mlp, dim, hidden, out_dim = struct.unpack("<IIIII", header)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported version {version}")
+        # Check the declared sizes before reading, so a corrupt header cannot
+        # ask for an impossible allocation.
+        in_out = hidden if is_mlp else dim
+        weights = 2 * (out_dim * in_out + (hidden * dim if is_mlp else 0))
+        if 8 * (weights + 1) > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise CheckpointError(f"truncated: the header declares {weights} weights")
 
         def read_mat(rows, cols):
-            buf = fh.read(8 * rows * cols)
-            if len(buf) != 8 * rows * cols:
-                raise CheckpointError("truncated weights")
-            return np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
+            return np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
 
         w_f_hidden = read_mat(hidden, dim) if is_mlp else None
-        w_f = read_mat(out_dim, hidden if is_mlp else dim)
+        w_f = read_mat(out_dim, in_out)
         w_g_hidden = read_mat(hidden, dim) if is_mlp else None
-        w_g = read_mat(out_dim, hidden if is_mlp else dim)
-        tail = fh.read(8)
-        if len(tail) != 8:
-            raise CheckpointError("truncated log_temp")
-        (log_temp,) = struct.unpack("<d", tail)
+        w_g = read_mat(out_dim, in_out)
+        (log_temp,) = struct.unpack("<d", fh.read(8))
     return EncoderParams(w_f=w_f, w_g=w_g, log_temp=log_temp,
                          w_f_hidden=w_f_hidden, w_g_hidden=w_g_hidden)
 
@@ -399,10 +348,21 @@ def write_metrics(records, path) -> None:
             fh.write(json.dumps(asdict(rec)) + "\n")
 
 
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
 def read_metrics(path) -> list[EpochRecord]:
+    """Parse a metrics file; a malformed or wrongly typed record raises TrainerError."""
     records = []
     with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                records.append(EpochRecord(**json.loads(line)))
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = EpochRecord(**json.loads(line))
+            except (ValueError, TypeError) as exc:
+                raise TrainerError(f"{path}:{lineno}: bad epoch record: {exc}") from exc
+            if not all(isinstance(getattr(rec, f.name), _JSON_TYPES[f.type]) for f in fields(rec)):
+                raise TrainerError(f"{path}:{lineno}: epoch record has a wrongly typed field")
+            records.append(rec)
     return records

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from scanprune import (
-    CandidateEntry,
     CandidateSet,
     DUPLICATE,
     GenSpec,
@@ -104,11 +103,11 @@ def test_criterion_1_schedule_exactness(capsys):
 
 def test_criterion_2_active_fraction_sequence(capsys):
     n = 9
-    cs = CandidateSet(entries=[CandidateEntry(i, Tag.REDUNDANT, 0.5) for i in range(7)])
+    cs = CandidateSet(ids=np.arange(7), redundant=np.ones(7, dtype=bool), scores=np.full(7, 0.5))
     active = []
     for off in range(4):
-        view = sample_pruned(cs, mutation_ratio(off, 3), seed=0, epoch=off)
-        active.append(len(active_indices(n, view)))
+        excluded = sample_pruned(cs, mutation_ratio(off, 3), seed=0)
+        active.append(len(active_indices(n, excluded)))
     want = (1.0, 6 / 9, 4 / 9, 2 / 9)
     seq_ok = all(abs(a - w * n) <= 1.0 for a, w in zip(active, want))
     avg_pruned = sum((n - a) / n for a in active) / 4

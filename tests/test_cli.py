@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -188,3 +189,98 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "epoch,phase,rho_cur"
+
+
+def test_compare_malformed_metrics_exit_4(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    good = (run / "metrics.jsonl").read_text().splitlines()[0]
+    wrong_type = json.dumps(dict(json.loads(good), active_size="many"))
+    for bad in ("{", '{"epoch": 1}', "[1, 2]", wrong_type):
+        (run / "metrics.jsonl").write_text(good + "\n" + bad + "\n")
+        capsys.readouterr()
+        assert main(["compare", "--runs", str(run)]) == 4, bad
+        assert "bad run directory" in capsys.readouterr().err
+
+
+def test_compare_malformed_manifest_exit_4(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    for bad in ("{not json", "{}", "[]"):
+        (run / "manifest.json").write_text(bad)
+        capsys.readouterr()
+        assert main(["compare", "--runs", str(run)]) == 4, bad
+        assert "bad run directory" in capsys.readouterr().err
+
+
+def test_compare_data_dim_mismatch_exit_4(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    other = tmp_path / "other.bin"
+    assert main(["gen-data", "--n", "64", "--dim", "6", "--num-classes", "4",
+                 "--seed", "3", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--runs", str(run), "--data", str(other)]) == 4
+    assert "differs from dataset dim" in capsys.readouterr().err
+
+
+def test_oversized_dataset_header_exit_4(data_file, tmp_path, capsys):
+    raw = bytearray(data_file.read_bytes())
+    raw[8:16] = struct.pack("<II", 2**32 - 1, 2**32 - 1)  # n, dim
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(bytes(raw))
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    capsys.readouterr()
+    assert main(["compare", "--runs", str(run), "--data", str(huge)]) == 4
+    assert "bad dataset file" in capsys.readouterr().err
+    assert _train(huge, tmp_path / "run2") == 4
+
+
+def test_export_coreset_rejects_bad_candidates(data_file, tmp_path, capsys):
+    ra, rb = tmp_path / "ra", tmp_path / "rb"
+    assert _train(data_file, ra, "--seed", "1") == 0
+    assert _train(data_file, rb, "--seed", "2") == 0
+    original = (ra / "candidates.json").read_text()
+
+    def with_entry(**fields):
+        def mutate(data):
+            data["entries"][0].update(fields)
+            return json.dumps(data)
+        return mutate
+
+    def duplicate_first(data):
+        data["entries"][1]["sample_id"] = data["entries"][0]["sample_id"]
+        return json.dumps(data)
+
+    cases = {
+        "bad json": "{",
+        "missing entries": lambda d: json.dumps({k: v for k, v in d.items() if k != "entries"}),
+        "missing n": lambda d: json.dumps({k: v for k, v in d.items() if k != "n"}),
+        "not an object": "[]",
+        "unknown tag": with_entry(tag="bogus"),
+        "id out of range": with_entry(sample_id=99999),
+        "negative id": with_entry(sample_id=-1),
+        "non-integer id": with_entry(sample_id=1.5),
+        "bad score": with_entry(rank_score="high"),
+        "duplicate id": duplicate_first,
+    }
+    for name, mutate in cases.items():
+        text = mutate(json.loads(original)) if callable(mutate) else mutate
+        (ra / "candidates.json").write_text(text)
+        out = tmp_path / "coreset.txt"
+        capsys.readouterr()
+        assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb),
+                     "--rho", "0.25", "--out", str(out)]) == 4, name
+        assert "bad candidates file" in capsys.readouterr().err, name
+        assert not out.exists(), name
+
+
+def test_static_coreset_non_integer_line_exit_4(data_file, tmp_path, capsys):
+    cs = tmp_path / "coreset.txt"
+    cs.write_text("# n=64 rho=0.25 runs=a,b\n0\n1\nabc\n")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert _train(data_file, out, "--method", "static", "--coreset", str(cs)) == 4
+    assert "not an integer id" in capsys.readouterr().err
+    assert not out.exists()  # rejected before the run directory is made

@@ -1,10 +1,8 @@
 import pytest
 
 from scanprune import (
-    CandidateEntry,
     CandidateSet,
     PrunedSummary,
-    Tag,
     export_coreset,
     load_coreset,
     overlap_ratio,
@@ -84,8 +82,7 @@ def test_export_validation():
 
 
 def test_summary_from_candidates():
-    cs = CandidateSet(entries=[CandidateEntry(4, Tag.REDUNDANT, 0.75),
-                               CandidateEntry(9, Tag.ILL_MATCHED, 0.5)])
+    cs = CandidateSet(ids=[4, 9], redundant=[True, False], scores=[0.75, 0.5])
     s = PrunedSummary.from_candidates("run-x", cs, 20)
     assert s.run_id == "run-x" and s.n == 20
     assert s.pruned_ids == frozenset({4, 9})

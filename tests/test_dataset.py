@@ -164,3 +164,18 @@ def test_truncated_file(tmp_path):
     path.write_bytes(raw[:20])  # header only
     with pytest.raises(TruncatedFileError):
         load_dataset(path)
+
+
+def test_declared_sizes_checked_before_reading(tmp_path):
+    path = tmp_path / "d.bin"
+    save_dataset(generate_paired_dataset(_spec()), path)
+    raw = path.read_bytes()
+    for n, dim in ((2**32 - 1, 2**32 - 1), (101, 16), (100, 17)):
+        bad = tmp_path / f"bad_{n}_{dim}.bin"
+        bad.write_bytes(raw[:8] + struct.pack("<II", n, dim) + raw[16:])
+        with pytest.raises(TruncatedFileError, match="header declares"):
+            load_dataset(bad)
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(raw[:-1])  # one byte short of the corruption flags
+    with pytest.raises(TruncatedFileError):
+        load_dataset(cut)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from scanprune import (
-    CandidateEntry,
     CandidateSet,
     Tag,
     accumulate,
@@ -108,34 +107,61 @@ def test_batch_candidates_matches_composed_pipeline():
         fg = np.round(rng.standard_normal(b), 1 if trial % 3 == 0 else 6)
         gf = np.round(rng.standard_normal(b), 1 if trial % 3 == 0 else 6)
         k = int(rho * b + 1e-9)
-        entries = batch_candidates(fg, gf, ids, rho)
+        cs = batch_candidates(fg, gf, ids, rho)
         fg_red, fg_ill = select_batch_candidates(fg, ids, rho)
         gf_red, gf_ill = select_batch_candidates(gf, ids, rho)
         fb = rank_orders(fg, gf, ids)
         red, ill = merge_directions(fg_red, fg_ill, gf_red, gf_ill, 2 * k, fb)
-        got_red = {e.sample_id for e in entries if e.tag is Tag.REDUNDANT}
-        got_ill = {e.sample_id for e in entries if e.tag is Tag.ILL_MATCHED}
-        assert got_red == red and got_ill == ill
-        assert len(got_red & got_ill) == 0
-        for e in entries:
-            order = fb.red_order if e.tag is Tag.REDUNDANT else fb.ill_order
-            assert e.rank_score == pytest.approx(1.0 - order.index(e.sample_id) / (b - 1))
+        got_red = cs.ids_by_tag(Tag.REDUNDANT).tolist()
+        got_ill = cs.ids_by_tag(Tag.ILL_MATCHED).tolist()
+        assert set(got_red) == red and set(got_ill) == ill
+        assert len(set(got_red) & set(got_ill)) == 0
+        # layout: k redundant ids, then k ill-matched ids, each in ascending order
+        assert cs.redundant.tolist() == [True] * k + [False] * k
+        assert got_red == sorted(red) and got_ill == sorted(ill)
+        for sid, is_red, score in zip(cs.ids.tolist(), cs.redundant.tolist(), cs.scores.tolist()):
+            order = fb.red_order if is_red else fb.ill_order
+            assert score == pytest.approx(1.0 - order.index(sid) / (b - 1))
+
+
+def _candidate_set(ids, redundant=True, score=0.5):
+    ids = np.asarray(ids)
+    return CandidateSet(ids=ids, redundant=np.full(ids.size, redundant),
+                        scores=np.full(ids.size, score))
 
 
 def test_accumulate_disjoint_union():
-    batches = [
-        [CandidateEntry(i, Tag.REDUNDANT, 0.5) for i in range(base, base + 4)]
-        for base in (0, 10, 20)
-    ]
+    batches = [_candidate_set(range(base, base + 4)) for base in (0, 10, 20)]
     cs = accumulate(batches, built_at_epoch=3)
     assert len(cs) == 12 and cs.built_at_epoch == 3
-    assert accumulate([batches[0], []]).ids() == list(range(0, 4))
+    assert cs.ids.tolist() == [0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23]
+    assert accumulate([batches[0], _candidate_set([])]).ids.tolist() == list(range(0, 4))
+    assert len(accumulate([])) == 0
+
+
+def test_accumulate_keeps_tags_and_scores_aligned():
+    cs = accumulate([_candidate_set([5, 1], True, 0.25), _candidate_set([3], False, 0.75)])
+    assert cs.ids.tolist() == [5, 1, 3]
+    assert cs.redundant.tolist() == [True, True, False]
+    assert cs.scores.tolist() == [0.25, 0.25, 0.75]
+    assert cs.ids_by_tag(Tag.ILL_MATCHED).tolist() == [3]
 
 
 def test_accumulate_duplicate_id_is_hard_failure():
-    e = CandidateEntry(7, Tag.REDUNDANT, 0.5)
+    e = _candidate_set([7])
     with pytest.raises(PrunerError):
-        accumulate([[e], [e]])
+        accumulate([e, e])
+
+
+def test_candidate_set_shape_and_validate():
+    with pytest.raises(PrunerError):
+        CandidateSet(ids=[1, 2], redundant=[True], scores=[0.5, 0.5])
+    _candidate_set([0, 4]).validate(5)
+    for bad in ([0, 5], [-1, 2], [3, 3]):
+        with pytest.raises(PrunerError):
+            _candidate_set(bad).validate(5)
+    with pytest.raises(PrunerError):
+        _candidate_set([1], score=float("nan")).validate(5)
 
 
 def test_epoch_budget_matches_2rho_n():
@@ -152,42 +178,38 @@ def test_epoch_budget_matches_2rho_n():
     assert len(cs.ids_by_tag(Tag.ILL_MATCHED)) == 150
 
 
-def _candidate_set(n_entries):
-    return CandidateSet(entries=[CandidateEntry(i, Tag.REDUNDANT, 0.5)
-                                 for i in range(n_entries)])
-
-
 def test_sample_pruned_extremes():
-    cs = _candidate_set(300)
-    assert sample_pruned(cs, 0.0, seed=1).excluded == frozenset()
-    assert sample_pruned(cs, 1.0, seed=1).excluded == frozenset(range(300))
+    cs = _candidate_set(range(300))
+    assert sample_pruned(cs, 0.0, seed=1).tolist() == []
+    assert sample_pruned(cs, 1.0, seed=1).tolist() == list(range(300))
 
 
 def test_sample_pruned_subset_and_seed_sensitivity():
-    cs = _candidate_set(300)
+    cs = _candidate_set(range(300))
     a = sample_pruned(cs, 0.25, seed=1)
     b = sample_pruned(cs, 0.25, seed=2)
-    ids = set(cs.ids())
-    assert len(a.excluded) == len(b.excluded) == 75
-    assert a.excluded <= ids and b.excluded <= ids
-    assert a.excluded != b.excluded
-    assert sample_pruned(cs, 0.25, seed=1).excluded == a.excluded  # deterministic
+    ids = set(cs.ids.tolist())
+    assert len(a) == len(b) == 75
+    assert a.tolist() == sorted(set(a.tolist()))  # sorted, no repeats
+    assert set(a.tolist()) <= ids and set(b.tolist()) <= ids
+    assert a.tolist() != b.tolist()
+    assert np.array_equal(sample_pruned(cs, 0.25, seed=1), a)  # deterministic
 
 
 def test_sample_pruned_range_check():
     with pytest.raises(PrunerError):
-        sample_pruned(_candidate_set(10), 1.5, seed=0)
+        sample_pruned(_candidate_set(range(10)), 1.5, seed=0)
 
 
 def test_active_indices_examples():
-    from scanprune import ActiveView
-    assert active_indices(10, ActiveView(frozenset({2, 7}), 0)) == [0, 1, 3, 4, 5, 6, 8, 9]
-    assert active_indices(5, ActiveView(frozenset(), 0)) == [0, 1, 2, 3, 4]
-    view = sample_pruned(_candidate_set(300), 0.25, seed=5)
-    assert len(active_indices(1000, view)) == 925
+    got = active_indices(10, np.array([2, 7]))
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.tolist() == [0, 1, 3, 4, 5, 6, 8, 9]
+    assert active_indices(5, []).tolist() == [0, 1, 2, 3, 4]
+    excluded = sample_pruned(_candidate_set(range(300)), 0.25, seed=5)
+    assert len(active_indices(1000, excluded)) == 925
 
 
 def test_active_indices_out_of_range():
-    from scanprune import ActiveView
     with pytest.raises(PrunerError):
-        active_indices(5, ActiveView(frozenset({9}), 0))
+        active_indices(5, np.array([9]))

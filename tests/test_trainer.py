@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -104,7 +106,7 @@ def test_candidate_provenance_and_budget():
         if epoch - 1 in by_epoch or epoch - 2 in by_epoch or epoch - 3 in by_epoch:
             rounds = [e for e in by_epoch if e < epoch]
             current = by_epoch[max(rounds)]
-        assert set(excluded) <= set(current.ids())
+        assert set(excluded) <= set(current.ids.tolist())
 
 
 def test_mean_pruned_fraction_close_to_rho():
@@ -249,6 +251,49 @@ def test_checkpoint_errors(tmp_path):
     trunc.write_bytes(bytes(raw[:30]))
     with pytest.raises(CheckpointError):
         load_checkpoint(trunc)
+
+
+def test_checkpoint_declared_sizes_checked_before_reading(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(init_params(4, 2, seed=0, mlp=True, hidden_dim=3), path)
+    raw = path.read_bytes()
+    for dims in ((2**32 - 1, 2**32 - 1, 2), (4, 4, 2), (4, 3, 3)):  # dim, hidden, out_dim
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw[:12] + struct.pack("<III", *dims) + raw[24:])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(bad)
+    short = tmp_path / "short.bin"
+    short.write_bytes(raw[:-1])  # one byte short of log_temp
+    with pytest.raises(CheckpointError):
+        load_checkpoint(short)
+
+
+def test_read_metrics_rejects_malformed_records(tmp_path):
+    res = train_full(_ds(n=64), _cfg(tau_stop=6))
+    path = tmp_path / "m.jsonl"
+    write_metrics(res.records, path)
+    good = path.read_text()
+    first = json.loads(good.splitlines()[0])
+    for bad in ("{", '{"epoch": 1}', "[1, 2]", json.dumps(dict(first, unknown=1)),
+                json.dumps(dict(first, active_size="many")),
+                json.dumps(dict(first, mean_loss_fg=None))):
+        path.write_text(good + bad + "\n")
+        with pytest.raises(TrainerError, match=":7:"):
+            read_metrics(path)
+
+
+def test_baselines_keep_no_candidates_and_no_bookkeeping():
+    ds = _ds(n=128)
+    for res in (train_full(ds, _cfg()), train_random_baseline(ds, _cfg()),
+                train_static_coreset(ds, range(100), _cfg())):
+        assert res.bookkeep_ms == 0.0
+        assert res.candidate_history == [] and res.exclusions == {}
+        assert all(r.candidate_size == 0 and r.rho_cur == 0.0 for r in res.records)
+
+
+def test_random_baseline_validates_before_reading_config():
+    with pytest.raises(TrainerError):
+        train_random_baseline(_ds(n=16), _cfg(rho=float("nan")))
 
 
 def test_metrics_roundtrip(tmp_path):
