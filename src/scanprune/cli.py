@@ -17,8 +17,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from scanprune import coreset as coreset_mod
-from scanprune import dataset as dataset_mod
-from scanprune import trainer as trainer_mod
 from scanprune.coreset import CoresetError, PrunedSummary, export_coreset
 from scanprune.dataset import DatasetError, GenSpec, generate_paired_dataset, load_dataset, save_dataset
 from scanprune.pruner import CandidateSet, PrunerError, Tag
@@ -156,13 +154,6 @@ def _build_config(args) -> TrainConfig:
     return cfg
 
 
-def _write_pruned_dump(path: Path, epoch: int, rho_cur: float, ids) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# epoch={epoch} rho_cur={_fmt(rho_cur)}\n")
-        for sid in ids:
-            fh.write(f"{sid}\n")
-
-
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     data_path = _require_file(args.data)
@@ -180,12 +171,9 @@ def cmd_train(args) -> int:
             raise CliError(EXIT_INVALID, f"bad coreset file: {exc}") from exc
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trainers = {
-        "scan": train_scan,
-        "full": train_full,
-        "random": train_random_baseline,
-    }
+    if out.exists() and not out.is_dir():
+        raise CliError(EXIT_INVALID, f"--out is not a directory: {out}")
+    trainers = {"scan": train_scan, "full": train_full, "random": train_random_baseline}
     try:
         if args.method == "static":
             result = train_static_coreset(ds, coreset_ids, cfg)
@@ -193,6 +181,9 @@ def cmd_train(args) -> int:
             result = trainers[args.method](ds, cfg)
     except TrainerError as exc:
         raise CliError(EXIT_INVALID, f"training failed: {exc}") from exc
+
+    # Made only after training, so a failed run leaves no directory behind.
+    out.mkdir(parents=True, exist_ok=True)
 
     artifacts = []
     metrics_path = out / "metrics.jsonl"
@@ -203,9 +194,8 @@ def cmd_train(args) -> int:
     artifacts.append(ckpt_path.name)
 
     for epoch, ids in sorted(result.exclusions.items()):
-        rec = result.records[epoch]
         dump = out / f"pruned_epoch{epoch:04d}.txt"
-        _write_pruned_dump(dump, epoch, rec.rho_cur, ids)
+        coreset_mod.write_ids(dump, f"epoch={epoch} rho_cur={_fmt(result.records[epoch].rho_cur)}", ids)
         artifacts.append(dump.name)
 
     if result.candidate_history:
@@ -258,8 +248,14 @@ def cmd_schedule(args) -> int:
 # ----------------------------------------------------------- export-coreset
 
 def _summary_from_run(run_dir: str) -> PrunedSummary:
-    """A run's ``candidates.json`` as a summary; malformed content exits 4."""
+    """A run's ``candidates.json`` as a summary; malformed content exits 4, and so
+    does an ``n`` other than the warm-up epoch 0's ``active_size``."""
     path = _require_file(str(Path(run_dir) / "candidates.json"))
+    metrics_path = _require_file(str(Path(run_dir) / "metrics.jsonl"))
+    try:
+        records = read_metrics(metrics_path)
+    except TrainerError as exc:
+        raise CliError(EXIT_INVALID, f"bad run directory {run_dir}: {exc}") from exc
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -267,6 +263,9 @@ def _summary_from_run(run_dir: str) -> PrunedSummary:
         ids = [e["sample_id"] for e in entries]
         if not all(type(v) is int for v in (n, *ids)) or n < 0:
             raise ValueError("n and every sample_id must be non-negative integers")
+        warmup = records[0].active_size if records else None
+        if n != warmup:
+            raise ValueError(f"n={n}, but the run's first epoch in {metrics_path} trained on {warmup} samples")
         cands = CandidateSet(
             ids=ids,
             redundant=[Tag(e["tag"]) is Tag.REDUNDANT for e in entries],

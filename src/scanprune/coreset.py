@@ -1,17 +1,19 @@
 """Static coreset export from two pruning runs, plus overlap diagnostics.
 
-The removal set starts as the intersection of the two runs' final candidate
-ids and is trimmed or extended to exactly floor(rho * n) using the summed
-confidence scores (most confidently pruned first, ties by id).  The coreset is
-the complement.
+Exactly floor(rho * n) ids are removed, ordered by votes (how many of the two
+runs' final candidate sets list the id: the intersection, then the rest of
+the union, then untouched ids), then by summed confidence score (0 where
+unlisted), both highest first, then by id ascending.  The sorted complement
+is the coreset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
-from scanprune.pruner import CandidateSet
+import numpy as np
+
+from scanprune.pruner import CandidateSet, PrunerError
 
 
 class CoresetError(Exception):
@@ -20,45 +22,37 @@ class CoresetError(Exception):
 
 @dataclass(frozen=True)
 class PrunedSummary:
-    """One run's final-round pruning candidates with confidence scores."""
+    """One run's final-round candidate set over a dataset of n samples."""
 
     run_id: str
-    pruned_ids: frozenset
+    candidates: CandidateSet
     n: int
-    scores: Mapping[int, float] = field(default_factory=dict)
 
     @staticmethod
     def from_candidates(run_id: str, candidates: CandidateSet, n: int) -> "PrunedSummary":
-        scores = dict(zip(candidates.ids.tolist(), candidates.scores.tolist()))
-        return PrunedSummary(run_id=run_id, pruned_ids=frozenset(scores), n=n, scores=scores)
+        return PrunedSummary(run_id=run_id, candidates=candidates, n=n)
 
 
 def export_coreset(a: PrunedSummary, b: PrunedSummary, rho: float) -> list[int]:
-    """Ids kept after removing exactly floor(rho * n) most-agreed-upon samples."""
+    """Sorted ids kept after removing the first floor(rho * n) ids in removal order."""
     if a.n != b.n:
         raise CoresetError(f"dataset sizes differ: {a.n} vs {b.n}")
     if not (0.0 < rho < 1.0):
         raise CoresetError("rho must lie in (0, 1)")
     n = a.n
-    budget = int(rho * n + 1e-9)
-
-    def score(sid: int) -> float:
-        return a.scores.get(sid, 0.0) + b.scores.get(sid, 0.0)
-
-    removal = sorted(a.pruned_ids & b.pruned_ids, key=lambda s: (-score(s), s))
-    if len(removal) > budget:
-        removal = removal[:budget]
-    elif len(removal) < budget:
-        chosen = set(removal)
-        extras = sorted((a.pruned_ids | b.pruned_ids) - chosen, key=lambda s: (-score(s), s))
-        removal.extend(extras[: budget - len(removal)])
-        if len(removal) < budget:
-            # Both runs together pruned fewer than the budget; fall back to
-            # untouched ids in ascending order so the size contract holds.
-            rest = sorted(set(range(n)) - set(removal))
-            removal.extend(rest[: budget - len(removal)])
-    removed = set(removal)
-    return [i for i in range(n) if i not in removed]
+    votes = np.zeros(n, dtype=np.int8)
+    score = np.zeros(n)
+    for run in (a, b):
+        try:
+            run.candidates.validate(n)
+        except PrunerError as exc:
+            raise CoresetError(f"run {run.run_id}: {exc}") from exc
+        votes[run.candidates.ids] += 1
+        score[run.candidates.ids] += run.candidates.scores
+    order = np.lexsort((np.arange(n), -score, -votes))
+    keep = np.ones(n, dtype=bool)
+    keep[order[:int(rho * n + 1e-9)]] = False
+    return np.flatnonzero(keep).tolist()
 
 
 def overlap_ratio(sets) -> float:
@@ -75,11 +69,15 @@ def overlap_ratio(sets) -> float:
     return len(inter) / len(union)
 
 
-def save_coreset(ids, n: int, rho: float, runs: tuple[str, str], path) -> None:
+def write_ids(path, header: str, ids) -> None:
+    """One-id-per-line text file: a ``# header`` line, then one id per line."""
     with open(path, "w") as fh:
-        fh.write(f"# n={n} rho={rho} runs={runs[0]},{runs[1]}\n")
-        for sid in ids:
-            fh.write(f"{sid}\n")
+        fh.write(f"# {header}\n")
+        fh.writelines(f"{sid}\n" for sid in ids)
+
+
+def save_coreset(ids, n: int, rho: float, runs: tuple[str, str], path) -> None:
+    write_ids(path, f"n={n} rho={rho} runs={runs[0]},{runs[1]}", ids)
 
 
 def load_coreset(path) -> list[int]:

@@ -31,7 +31,6 @@ class LossTable:
 
     fg: np.ndarray  # row-wise: anchor in tower F
     gf: np.ndarray  # column-wise: anchor in tower G
-    sample_ids: np.ndarray
 
     def __len__(self) -> int:
         return self.fg.shape[0]
@@ -72,16 +71,16 @@ def _softmax_stats(S: np.ndarray, axis: int):
     return (m + np.log(s)).squeeze(axis), e, s
 
 
-def _loss_pass(S: np.ndarray, ids):
+def _loss_pass(S: np.ndarray):
     """LossTable of ``S`` plus the row and column ``(e, s)`` softmax statistics."""
     diag = np.diag(S)
     lse_row, e_row, s_row = _softmax_stats(S, axis=1)
     lse_col, e_col, s_col = _softmax_stats(S, axis=0)
-    table = LossTable(fg=lse_row - diag, gf=lse_col - diag, sample_ids=np.asarray(ids))
+    table = LossTable(fg=lse_row - diag, gf=lse_col - diag)
     return table, (e_row, s_row), (e_col, s_col)
 
 
-def per_sample_losses(S: np.ndarray, ids: np.ndarray) -> LossTable:
+def per_sample_losses(S: np.ndarray) -> LossTable:
     """Disentangled cross-entropy at the diagonal, both directions.
 
     fg[i] = logsumexp(S[i, :]) - S[i, i]; gf[j] works over column j.
@@ -91,8 +90,8 @@ def per_sample_losses(S: np.ndarray, ids: np.ndarray) -> LossTable:
         raise InfoNCEError("similarity matrix must be square")
     if S.shape[0] == 0:
         empty = np.zeros(0)
-        return LossTable(fg=empty, gf=empty.copy(), sample_ids=np.asarray(ids))
-    return _loss_pass(S, ids)[0]
+        return LossTable(fg=empty, gf=empty.copy())
+    return _loss_pass(S)[0]
 
 
 def batch_loss(table: LossTable) -> float:
@@ -123,7 +122,7 @@ def _backprop_tanh(dz: np.ndarray, w_out: np.ndarray, h: np.ndarray) -> np.ndarr
     return dh
 
 
-def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray, ids: np.ndarray | None = None):
+def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray):
     """Analytic gradients of the batch loss plus the per-sample LossTable.
 
     One forward pass serves both training and pruning-metric extraction.
@@ -133,8 +132,6 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray, i
     if batch_a.shape != batch_b.shape:
         raise InfoNCEError("view batches must have identical shape")
     b = batch_a.shape[0]
-    if ids is None:
-        ids = np.arange(b)
 
     z_f, h_f = forward_tower(params, Tower.F, batch_a)
     z_g, h_g = forward_tower(params, Tower.G, batch_b)
@@ -144,7 +141,7 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray, i
     temp = params.temp
     S = e_f @ e_g.T
     S /= temp
-    table, (p_row, s_row), (p_col, s_col) = _loss_pass(S, ids)
+    table, (p_row, s_row), (p_col, s_col) = _loss_pass(S)
 
     # d(batch_loss)/dS: softmax rows and columns, diagonal targets, mean of
     # both directional means halved.

@@ -154,7 +154,7 @@ def _run_epoch(params, a, b, order, cfg, keep_tables: bool):
     tables = []
     for start in starts:
         ids = order[start:start + cfg.batch_size]
-        grads, table = gradients(params, a[ids], b[ids], ids=ids)
+        grads, table = gradients(params, a[ids], b[ids])
         sum_fg += float(np.sum(table.fg))
         sum_gf += float(np.sum(table.gf))
         if keep_tables:
@@ -252,12 +252,14 @@ def train_random_baseline(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
 
 
 def train_static_coreset(ds: PairedDataset, coreset_ids, cfg: TrainConfig) -> RunResult:
-    """All epochs train only on the given coreset ids."""
+    """All epochs train only on the given coreset ids, which must be distinct and in [0, n)."""
     ids = np.asarray(sorted(int(i) for i in coreset_ids))
     if ids.size == 0:
         raise TrainerError("coreset is empty")
-    if ids.min() < 0 or ids.max() >= ds.n:
+    if ids[0] < 0 or ids[-1] >= ds.n:
         raise TrainerError("coreset ids out of range")
+    if (ids[1:] == ids[:-1]).any():
+        raise TrainerError("coreset ids must be distinct")
     return _train(ds, cfg, lambda epoch, phase, result: ids, "Static")
 
 

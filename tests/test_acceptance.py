@@ -156,7 +156,7 @@ def test_criterion_3_infonce_correctness(capsys):
     for _ in range(100):
         b = int(rng.integers(2, 40))
         S = rng.standard_normal((b, b)) * rng.uniform(0.1, 5.0)
-        t = per_sample_losses(S, np.arange(b))
+        t = per_sample_losses(S)
         worst_split = max(worst_split, abs(batch_loss(t) - _monolithic(S)))
 
     worst_fd = 0.0

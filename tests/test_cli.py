@@ -264,6 +264,7 @@ def test_export_coreset_rejects_bad_candidates(data_file, tmp_path, capsys):
         "non-integer id": with_entry(sample_id=1.5),
         "bad score": with_entry(rank_score="high"),
         "duplicate id": duplicate_first,
+        "n differs from the run's": lambda d: json.dumps({**d, "n": 3_000_000}),
     }
     for name, mutate in cases.items():
         text = mutate(json.loads(original)) if callable(mutate) else mutate
@@ -275,6 +276,12 @@ def test_export_coreset_rejects_bad_candidates(data_file, tmp_path, capsys):
         assert "bad candidates file" in capsys.readouterr().err, name
         assert not out.exists(), name
 
+    (ra / "candidates.json").write_text(original)
+    (ra / "metrics.jsonl").write_text("{\n")
+    assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb),
+                 "--rho", "0.25", "--out", str(out)]) == 4
+    assert "bad run directory" in capsys.readouterr().err
+
 
 def test_static_coreset_non_integer_line_exit_4(data_file, tmp_path, capsys):
     cs = tmp_path / "coreset.txt"
@@ -284,3 +291,22 @@ def test_static_coreset_non_integer_line_exit_4(data_file, tmp_path, capsys):
     assert _train(data_file, out, "--method", "static", "--coreset", str(cs)) == 4
     assert "not an integer id" in capsys.readouterr().err
     assert not out.exists()  # rejected before the run directory is made
+
+
+def test_static_coreset_bad_ids_exit_4_without_run_dir(data_file, tmp_path, capsys):
+    cases = {"repeated id": "0\n1\n0\n2\n", "out of range": "0\n1\n64\n"}
+    for name, body in cases.items():
+        cs = tmp_path / "coreset.txt"
+        cs.write_text("# n=64 rho=0.25 runs=a,b\n" + body)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert _train(data_file, out, "--method", "static", "--coreset", str(cs)) == 4, name
+        assert "training failed" in capsys.readouterr().err, name
+        assert not out.exists(), name
+
+
+def test_train_out_is_a_file_exit_4(data_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert _train(data_file, out) == 4
+    assert "not a directory" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scanprune import (
     CandidateSet,
@@ -12,9 +14,10 @@ from scanprune.coreset import CoresetError
 
 
 def _summary(run_id, pruned, n, scores=None):
-    pruned = frozenset(pruned)
-    return PrunedSummary(run_id=run_id, pruned_ids=pruned, n=n,
-                         scores=scores or {i: 1.0 for i in pruned})
+    ids = sorted(pruned)
+    scores = scores or {i: 1.0 for i in ids}
+    cs = CandidateSet(ids=ids, redundant=np.ones(len(ids), dtype=bool), scores=[scores[i] for i in ids])
+    return PrunedSummary.from_candidates(run_id, cs, n)
 
 
 def test_export_intersection_fits_budget():
@@ -79,14 +82,81 @@ def test_export_validation():
     for rho in (0.0, 1.0, -0.1):
         with pytest.raises(CoresetError):
             export_coreset(a, a, rho)
+    for ids in ([10], [-1], [2, 2]):  # out of range or repeated
+        bad = PrunedSummary.from_candidates(
+            "b", CandidateSet(ids=ids, redundant=[True] * len(ids), scores=[1.0] * len(ids)), 10)
+        with pytest.raises(CoresetError):
+            export_coreset(a, bad, 0.3)
+
+
+def _set_based_export(a_scores, b_scores, n, rho):
+    """Reference: the export as intersection, then union top-up, then untouched
+    ids, built from Python sets and dicts of id -> score."""
+    budget = int(rho * n + 1e-9)
+    a_ids, b_ids = set(a_scores), set(b_scores)
+
+    def score(sid):
+        return a_scores.get(sid, 0.0) + b_scores.get(sid, 0.0)
+
+    removal = sorted(a_ids & b_ids, key=lambda s: (-score(s), s))
+    if len(removal) > budget:
+        removal = removal[:budget]
+    elif len(removal) < budget:
+        chosen = set(removal)
+        extras = sorted((a_ids | b_ids) - chosen, key=lambda s: (-score(s), s))
+        removal.extend(extras[: budget - len(removal)])
+        if len(removal) < budget:
+            rest = sorted(set(range(n)) - set(removal))
+            removal.extend(rest[: budget - len(removal)])
+    removed = set(removal)
+    return [i for i in range(n) if i not in removed]
+
+
+@st.composite
+def _export_cases(draw):
+    n = draw(st.integers(1, 40))
+    ids = st.sets(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["random", "empty", "disjoint", "identical"]))
+    a_ids = draw(ids)
+    if kind == "empty":
+        a_ids, b_ids = set(), (draw(ids) if draw(st.booleans()) else set())
+    elif kind == "disjoint":
+        b_ids = draw(ids) - a_ids
+    elif kind == "identical":
+        b_ids = set(a_ids)
+    else:
+        b_ids = draw(ids)
+    # Few distinct values, so summed scores tie, exactly or up to rounding.
+    score = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0])
+    a_scores = {i: draw(score) for i in sorted(a_ids)}
+    b_scores = {i: draw(score) for i in sorted(b_ids)}
+    union = len(a_ids | b_ids)
+    where = draw(st.sampled_from(["below", "at", "above"]))
+    if where == "below":
+        budget = draw(st.integers(0, max(union - 1, 0)))
+    elif where == "at":
+        budget = union
+    else:
+        budget = draw(st.integers(union + 1, max(union + 1, n)))
+    budget = min(budget, n - 1)  # rho < 1
+    return n, a_scores, b_scores, (budget + 0.5) / n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_export_cases())
+def test_export_matches_set_based_reference(case):
+    n, a_scores, b_scores, rho = case
+    a = _summary("a", a_scores, n, a_scores)
+    b = _summary("b", b_scores, n, b_scores)
+    assert export_coreset(a, b, rho) == _set_based_export(a_scores, b_scores, n, rho)
+    assert export_coreset(b, a, rho) == _set_based_export(b_scores, a_scores, n, rho)
 
 
 def test_summary_from_candidates():
     cs = CandidateSet(ids=[4, 9], redundant=[True, False], scores=[0.75, 0.5])
     s = PrunedSummary.from_candidates("run-x", cs, 20)
     assert s.run_id == "run-x" and s.n == 20
-    assert s.pruned_ids == frozenset({4, 9})
-    assert s.scores == {4: 0.75, 9: 0.5}
+    assert s.candidates is cs
 
 
 def test_overlap_examples():

@@ -51,34 +51,34 @@ def test_similarity_errors():
 
 
 def test_per_sample_losses_known_values():
-    t = per_sample_losses(np.eye(2), np.arange(2))
+    t = per_sample_losses(np.eye(2))
     want = math.log(1 + math.e ** -1)
     assert np.allclose(t.fg, want, atol=1e-12) and np.allclose(t.gf, want, atol=1e-12)
 
-    t = per_sample_losses(np.zeros((4, 4)), np.arange(4))
+    t = per_sample_losses(np.zeros((4, 4)))
     assert np.allclose(t.fg, math.log(4)) and np.allclose(t.gf, math.log(4))
 
-    t = per_sample_losses(10 * np.eye(2), np.arange(2))
+    t = per_sample_losses(10 * np.eye(2))
     assert np.allclose(t.fg, math.log(1 + math.e ** -10))
     assert t.fg[0] == pytest.approx(4.54e-5, rel=1e-2)
 
 
 def test_per_sample_losses_overflow_safe():
     S = np.array([[1000.0, 0.0], [0.0, 1000.0]])
-    t = per_sample_losses(S, np.arange(2))
+    t = per_sample_losses(S)
     assert np.isfinite(t.fg).all() and np.isfinite(t.gf).all()
     assert (t.fg >= 0).all() and (t.gf >= 0).all()
 
 
 def test_batch_loss_values():
-    t = per_sample_losses(np.eye(2), np.arange(2))
+    t = per_sample_losses(np.eye(2))
     assert batch_loss(t) == pytest.approx(math.log(1 + math.e ** -1))
-    t4 = per_sample_losses(np.zeros((4, 4)), np.arange(4))
+    t4 = per_sample_losses(np.zeros((4, 4)))
     assert batch_loss(t4) == pytest.approx(math.log(4))
 
 
 def test_batch_loss_empty_errors():
-    t = per_sample_losses(np.zeros((0, 0)), np.arange(0))
+    t = per_sample_losses(np.zeros((0, 0)))
     with pytest.raises(InfoNCEError):
         batch_loss(t)
 
@@ -88,7 +88,7 @@ def test_disentanglement_matches_monolithic():
     for _ in range(100):
         b = int(rng.integers(2, 30))
         S = rng.standard_normal((b, b)) * rng.uniform(0.1, 5)
-        t = per_sample_losses(S, np.arange(b))
+        t = per_sample_losses(S)
         assert abs(batch_loss(t) - _monolithic_loss(S)) < 1e-9
 
 
@@ -97,9 +97,9 @@ def test_permutation_equivariance():
     p = init_params(6, 3, seed=1)
     a = rng.standard_normal((8, 6))
     b = rng.standard_normal((8, 6))
-    _, base = gradients(p, a, b, ids=np.arange(8))
+    _, base = gradients(p, a, b)
     perm = rng.permutation(8)
-    _, shuf = gradients(p, a[perm], b[perm], ids=perm)
+    _, shuf = gradients(p, a[perm], b[perm])
     assert np.allclose(shuf.fg, base.fg[perm]) and np.allclose(shuf.gf, base.gf[perm])
     assert batch_loss(shuf) == pytest.approx(batch_loss(base), abs=1e-12)
 
@@ -168,7 +168,7 @@ def test_losses_nonnegative_random():
     for _ in range(20):
         b = int(rng.integers(2, 16))
         S = rng.standard_normal((b, b)) * 3
-        t = per_sample_losses(S, np.arange(b))
+        t = per_sample_losses(S)
         assert (t.fg >= 0).all() and (t.gf >= 0).all()
 
 
@@ -177,10 +177,10 @@ def test_loss_table_reused_from_forward_pass():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((5, 6))
     b = rng.standard_normal((5, 6))
-    _, table = gradients(p, a, b, ids=np.arange(5))
+    _, table = gradients(p, a, b)
     ef, _ = encode(p, Tower.F, a)
     eg, _ = encode(p, Tower.G, b)
-    expect = per_sample_losses(similarity_matrix(ef, eg, p.temp), np.arange(5))
+    expect = per_sample_losses(similarity_matrix(ef, eg, p.temp))
     assert np.allclose(table.fg, expect.fg, atol=1e-12)
     assert np.allclose(table.gf, expect.gf, atol=1e-12)
 
@@ -251,7 +251,7 @@ def test_gradients_bit_identical_to_reference(mlp, n, dim, out_dim, hidden):
             assert np.array_equal(getattr(grads, name), want[name]), name
         assert grads.log_temp == want["log_temp"]
         assert np.array_equal(table.fg, want["fg"]) and np.array_equal(table.gf, want["gf"])
-        alone = per_sample_losses(S, np.arange(n))
+        alone = per_sample_losses(S)
         assert np.array_equal(alone.fg, want["fg"]) and np.array_equal(alone.gf, want["gf"])
 
         assert np.array_equal(a, a0) and np.array_equal(b, b0)

@@ -172,6 +172,8 @@ def test_static_coreset_validation():
         train_static_coreset(ds, [], _cfg())
     with pytest.raises(TrainerError):
         train_static_coreset(ds, [5, 50], _cfg())
+    with pytest.raises(TrainerError, match="distinct"):
+        train_static_coreset(ds, [0, 3, 0], _cfg())
 
 
 def test_divergence_guard():
