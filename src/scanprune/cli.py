@@ -73,6 +73,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _read_manifest(run: Path) -> dict:
+    """A run's ``manifest.json``; one that is not a JSON object exits 4."""
+    path = _require_file(str(run / "manifest.json"))
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise CliError(EXIT_INVALID, f"bad run directory {run}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CliError(EXIT_INVALID, f"bad run directory {run}: {path} is not a JSON object")
+    return manifest
+
+
 # ---------------------------------------------------------------- gen-data
 
 def cmd_gen_data(args) -> int:
@@ -248,8 +261,15 @@ def cmd_schedule(args) -> int:
 # ----------------------------------------------------------- export-coreset
 
 def _summary_from_run(run_dir: str) -> PrunedSummary:
-    """A run's ``candidates.json`` as a summary; malformed content exits 4, and so
-    does an ``n`` other than the warm-up epoch 0's ``active_size``."""
+    """A scan run's ``candidates.json`` as a summary.  Exits 4 unless the
+    manifest says the run is a scan run that wrote ``candidates.json`` (a run
+    trained into a former scan run's directory leaves that file behind), on
+    malformed content, and on an ``n`` other than epoch 0's ``active_size``."""
+    manifest = _read_manifest(Path(run_dir))
+    artifacts = manifest.get("artifacts")
+    if manifest.get("method") != "scan" or not isinstance(artifacts, list) or "candidates.json" not in artifacts:
+        raise CliError(EXIT_INVALID, f"bad run directory {run_dir}: its manifest does not list "
+                                     f"candidates.json from a scan run")
     path = _require_file(str(Path(run_dir) / "candidates.json"))
     metrics_path = _require_file(str(Path(run_dir) / "metrics.jsonl"))
     try:
@@ -279,6 +299,8 @@ def _summary_from_run(run_dir: str) -> PrunedSummary:
 
 
 def cmd_export_coreset(args) -> int:
+    if Path(args.out).is_dir():
+        raise CliError(EXIT_INVALID, f"--out is a directory: {args.out}")
     a = _summary_from_run(args.run_a)
     b = _summary_from_run(args.run_b)
     try:
@@ -295,20 +317,21 @@ def cmd_export_coreset(args) -> int:
 def cmd_compare(args) -> int:
     ds = None
     if args.data:
+        data_path = _require_file(args.data)
         try:
-            ds = load_dataset(_require_file(args.data))
+            ds = load_dataset(data_path)
         except DatasetError as exc:
             raise CliError(EXIT_INVALID, f"bad dataset file: {exc}") from exc
+        data_sha = _sha256(data_path)
     rows = []
     for run_dir in args.runs.split(","):
         run = Path(run_dir)
-        manifest_path = _require_file(str(run / "manifest.json"))
+        manifest = _read_manifest(run)
         metrics_path = _require_file(str(run / "metrics.jsonl"))
         try:
-            with open(manifest_path) as fh:
-                method = str(json.load(fh)["method"])
+            method = str(manifest["method"])
             records = read_metrics(metrics_path)
-        except (ValueError, KeyError, TypeError, TrainerError) as exc:
+        except (KeyError, TrainerError) as exc:
             raise CliError(EXIT_INVALID, f"bad run directory {run}: {exc}") from exc
         if not records:
             raise CliError(EXIT_INVALID, f"no epoch records in {metrics_path}")
@@ -321,6 +344,10 @@ def cmd_compare(args) -> int:
                 if params.dim != ds.dim:
                     raise CliError(EXIT_INVALID, f"{run}: checkpoint dim {params.dim} "
                                                  f"differs from dataset dim {ds.dim}")
+                dataset = manifest.get("dataset")
+                if not isinstance(dataset, dict) or dataset.get("sha256") != data_sha:
+                    raise CliError(EXIT_INVALID, f"{run}: was not trained on {args.data} "
+                                                 f"(its manifest records another or no dataset SHA-256)")
                 probe = linear_probe(params, ds, args.probe_seed)
             except TrainerError as exc:
                 raise CliError(EXIT_INVALID, f"cannot probe {run}: {exc}") from exc

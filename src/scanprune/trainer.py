@@ -277,24 +277,41 @@ def linear_probe(params: EncoderParams, ds: PairedDataset, probe_seed: int) -> f
     perm = rng.permutation(ds.n)
     split = int(0.8 * ds.n)
     tr, te = perm[:split], perm[split:]
-    x_tr, y_tr = emb[tr], labels[tr]
-    x_te, y_te = emb[te], labels[te]
+    w, bias = _fit_probe(emb[tr], labels[tr], int(classes.max()) + 1)
+    pred = np.argmax(emb[te] @ w.T + bias, axis=1)
+    return float(np.mean(pred == labels[te]))
 
-    n_cls = int(classes.max()) + 1
-    w = np.zeros((n_cls, emb.shape[1]))
+
+def _fit_probe(x_tr: np.ndarray, y_tr: np.ndarray, n_cls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax regression on ``x_tr``: 200 full-batch gradient steps, lr 0.5.
+
+    One ``(n, n_cls)`` buffer holds each step's logits, then softmax, then
+    gradient, in place.  The row max is a running ``np.maximum`` over the
+    columns (max is exact in any order); every other reduction and matmul is
+    the one of the textbook step ``g = (softmax(x @ w.T + b) - onehot) / n``,
+    so ``w`` and ``bias`` are bit-identical to it.
+    """
+    n = len(y_tr)
+    w = np.zeros((n_cls, x_tr.shape[1]))
     bias = np.zeros(n_cls)
-    onehot = np.zeros((len(tr), n_cls))
-    onehot[np.arange(len(tr)), y_tr] = 1.0
+    g = np.empty((n, n_cls))
+    row_max = np.empty(n)
+    g_flat = g.reshape(-1)
+    label_at = np.arange(n) * n_cls + y_tr  # flat index of each row's label
     for _ in range(200):
-        logits = x_tr @ w.T + bias
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        g = (p - onehot) / len(tr)
+        np.matmul(x_tr, w.T, out=g)
+        g += bias
+        np.copyto(row_max, g[:, 0])
+        for j in range(1, n_cls):
+            np.maximum(row_max, g[:, j], out=row_max)
+        g -= row_max[:, None]
+        np.exp(g, out=g)
+        g /= g.sum(axis=1, keepdims=True)
+        g_flat[label_at] -= 1.0
+        g /= n
         w -= 0.5 * (g.T @ x_tr)
         bias -= 0.5 * g.sum(axis=0)
-    pred = np.argmax(x_te @ w.T + bias, axis=1)
-    return float(np.mean(pred == y_te))
+    return w, bias
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:

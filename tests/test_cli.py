@@ -310,3 +310,45 @@ def test_train_out_is_a_file_exit_4(data_file, tmp_path, capsys):
     out.write_text("")
     assert _train(data_file, out) == 4
     assert "not a directory" in capsys.readouterr().err
+
+
+def test_export_coreset_rejects_run_that_is_not_scan(data_file, tmp_path, capsys):
+    # a full run trained into a former scan run's directory leaves its
+    # candidates.json behind; the manifest says the run is not a scan run
+    reused, rb = tmp_path / "reused", tmp_path / "rb"
+    assert _train(data_file, reused, "--seed", "1") == 0
+    assert _train(data_file, reused, "--method", "full", "--seed", "1") == 0
+    assert _train(data_file, rb, "--seed", "2") == 0
+    assert (reused / "candidates.json").exists()
+    out = tmp_path / "coreset.txt"
+    capsys.readouterr()
+    assert main(["export-coreset", "--run-a", str(reused), "--run-b", str(rb),
+                 "--rho", "0.25", "--out", str(out)]) == 4
+    assert "bad run directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_coreset_out_is_a_directory_exit_4(tmp_path, capsys):
+    # rejected before either run is read, so the missing runs do not matter
+    assert main(["export-coreset", "--run-a", str(tmp_path / "ghost-a"),
+                 "--run-b", str(tmp_path / "ghost-b"), "--rho", "0.25",
+                 "--out", str(tmp_path)]) == 4
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_compare_data_sha_mismatch_exit_4(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    other = tmp_path / "other.bin"  # same n and dim, another seed
+    assert main(["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4",
+                 "--seed", "4", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--runs", str(run), "--data", str(other)]) == 4
+    assert "SHA-256" in capsys.readouterr().err
+
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["dataset"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", "--runs", str(run), "--data", str(data_file)]) == 4
+    assert "SHA-256" in capsys.readouterr().err
+    assert main(["compare", "--runs", str(run)]) == 0  # no --data, nothing to check

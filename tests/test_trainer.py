@@ -19,12 +19,14 @@ from scanprune import (
     train_scan,
     train_static_coreset,
 )
+from scanprune.encoder import Tower, encode
 from scanprune.infonce import gradients
 from scanprune.trainer import (
     CheckpointError,
     TrainerError,
     TrainingDivergedError,
     _apply_sgd,
+    _fit_probe,
     init_params,
     read_metrics,
     write_metrics,
@@ -318,6 +320,62 @@ def test_linear_probe_trained_beats_chance():
     assert acc >= 0.9
     untrained = linear_probe(init_params(16, 2, seed=99), ds, probe_seed=0)
     assert acc > untrained
+
+
+def _reference_fit_probe(x_tr, y_tr, n_cls):
+    """The textbook probe loop, kept as the oracle for ``_fit_probe``."""
+    w = np.zeros((n_cls, x_tr.shape[1]))
+    bias = np.zeros(n_cls)
+    onehot = np.zeros((len(y_tr), n_cls))
+    onehot[np.arange(len(y_tr)), y_tr] = 1.0
+    for _ in range(200):
+        logits = x_tr @ w.T + bias
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        g = (p - onehot) / len(y_tr)
+        w -= 0.5 * (g.T @ x_tr)
+        bias -= 0.5 * g.sum(axis=0)
+    return w, bias
+
+
+def _reference_probe(params, ds, probe_seed):
+    labels = ds.labels.astype(np.int64)
+    emb, _ = encode(params, Tower.F, ds.view_a.astype(np.float64))
+    perm = np.random.Generator(np.random.PCG64(probe_seed)).permutation(ds.n)
+    tr, te = perm[:int(0.8 * ds.n)], perm[int(0.8 * ds.n):]
+    w, bias = _reference_fit_probe(emb[tr], labels[tr], int(labels.max()) + 1)
+    return float(np.mean(np.argmax(emb[te] @ w.T + bias, axis=1) == labels[te]))
+
+
+def test_fit_probe_bit_identical_to_reference():
+    def split(ds, out_dim, probe_seed):
+        emb, _ = encode(init_params(ds.dim, out_dim, seed=probe_seed), Tower.F,
+                        ds.view_a.astype(np.float64))
+        tr = np.random.Generator(np.random.PCG64(probe_seed)).permutation(ds.n)[:int(0.8 * ds.n)]
+        return emb[tr], ds.labels.astype(np.int64)[tr]
+
+    for n_cls in (2, 3, 8, 11):  # fewer than, exactly and more than 8 columns
+        ds = _ds(n=400, nc=n_cls, seed=n_cls)
+        for probe_seed in (0, 1):
+            x_tr, y_tr = split(ds, 8, probe_seed)
+            w, bias = _fit_probe(x_tr, y_tr, n_cls)
+            w_ref, bias_ref = _reference_fit_probe(x_tr, y_tr, n_cls)
+            assert np.array_equal(w, w_ref) and np.array_equal(bias, bias_ref), (n_cls, probe_seed)
+
+    # labels {0, 1, 3, 4}: class 2 never occurs, yet gets a column
+    x_tr, y_tr = split(_ds(n=400, nc=4, seed=5), 4, 0)
+    y_tr = np.where(y_tr >= 2, y_tr + 1, y_tr)
+    w, bias = _fit_probe(x_tr, y_tr, int(y_tr.max()) + 1)
+    w_ref, bias_ref = _reference_fit_probe(x_tr, y_tr, int(y_tr.max()) + 1)
+    assert w.shape == (5, 4)
+    assert np.array_equal(w, w_ref) and np.array_equal(bias, bias_ref)
+
+    ds = _ds(n=400, nc=4, seed=2)
+    trained = train_full(ds, _cfg(tau_stop=4)).params
+    for params in (trained, init_params(ds.dim, 4, seed=3)):
+        for probe_seed in (0, 1):
+            assert linear_probe(params, ds, probe_seed) == _reference_probe(params, ds, probe_seed)
 
 
 def test_linear_probe_single_class_errors():
