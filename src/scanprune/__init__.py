@@ -42,7 +42,7 @@ from scanprune.trainer import (
     train_scan,
     train_static_coreset,
 )
-from scanprune.coreset import PrunedSummary, export_coreset, load_coreset, overlap_ratio, save_coreset
+from scanprune.coreset import PrunedSummary, export_coreset, load_coreset, save_coreset
 
 __all__ = [
     "CLEAN",
@@ -87,7 +87,6 @@ __all__ = [
     "load_checkpoint",
     "PrunedSummary",
     "export_coreset",
-    "overlap_ratio",
     "save_coreset",
     "load_coreset",
 ]

@@ -1,25 +1,19 @@
 """Command-line entry point: gen-data, train, schedule, export-coreset, compare.
 
-Every command is a single process with no daemon state.  Runs write a manifest
-listing every artifact plus the config snapshot and dataset hash, so any run
-is reproducible from its manifest alone.  Exit codes: 2 bad flags, 3 missing
-file, 4 invalid config or data.
+Every command is a single process with no daemon state.  Exit codes: 2 bad
+flags, 3 missing file, 4 invalid config or data.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from scanprune import coreset as coreset_mod
-from scanprune.coreset import CoresetError, PrunedSummary, export_coreset
+from scanprune import rundir
+from scanprune.coreset import CoresetError, PrunedSummary, export_coreset, load_coreset, save_coreset
 from scanprune.dataset import DatasetError, GenSpec, generate_paired_dataset, load_dataset, save_dataset
-from scanprune.pruner import CandidateSet, PrunerError, Tag
 from scanprune.scheduler import SchedulerError, phase_table
 from scanprune.trainer import (
     Mode,
@@ -27,13 +21,11 @@ from scanprune.trainer import (
     TrainerError,
     linear_probe,
     load_checkpoint,
-    read_metrics,
     save_checkpoint,
     train_full,
     train_random_baseline,
     train_scan,
     train_static_coreset,
-    write_metrics,
 )
 
 EXIT_OK = 0
@@ -56,34 +48,6 @@ def _fmt(x) -> str:
 
 def _default_seed() -> int:
     return int(os.environ.get("SCAN_SEED", "0"))
-
-
-def _require_file(path: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(EXIT_MISSING_FILE, f"missing file: {path}")
-    return p
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _read_manifest(run: Path) -> dict:
-    """A run's ``manifest.json``; one that is not a JSON object exits 4."""
-    path = _require_file(str(run / "manifest.json"))
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:
-        raise CliError(EXIT_INVALID, f"bad run directory {run}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CliError(EXIT_INVALID, f"bad run directory {run}: {path} is not a JSON object")
-    return manifest
 
 
 # ---------------------------------------------------------------- gen-data
@@ -125,30 +89,34 @@ _CONFIG_KEYS = {
 }
 
 
-def _load_config_file(path: Path) -> dict:
+def _load_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_INVALID, f"bad config file {path}: {exc}") from exc
     values: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(EXIT_INVALID, f"bad config line {lineno}: {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _CONFIG_KEYS:
-                raise CliError(EXIT_INVALID, f"unknown config key: {key}")
-            try:
-                values[key] = _CONFIG_KEYS[key](raw)
-            except ValueError as exc:
-                raise CliError(EXIT_INVALID, f"bad value for {key}: {raw!r}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(EXIT_INVALID, f"bad config line {lineno}: {line!r}")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _CONFIG_KEYS:
+            raise CliError(EXIT_INVALID, f"unknown config key: {key}")
+        try:
+            values[key] = _CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            raise CliError(EXIT_INVALID, f"bad value for {key}: {raw!r}") from exc
     return values
 
 
 def _build_config(args) -> TrainConfig:
     values: dict = {}
     if args.config:
-        values.update(_load_config_file(_require_file(args.config)))
+        values.update(_load_config_file(args.config))
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -169,23 +137,21 @@ def _build_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
-    data_path = _require_file(args.data)
     try:
-        ds = load_dataset(data_path)
+        ds = load_dataset(args.data)
     except DatasetError as exc:
         raise CliError(EXIT_INVALID, f"bad dataset file: {exc}") from exc
+    data_sha = rundir.sha256(args.data)
 
     if args.method == "static":
         if not args.coreset:
             raise CliError(EXIT_INVALID, "--coreset is required for method=static")
         try:
-            coreset_ids = coreset_mod.load_coreset(_require_file(args.coreset))
+            coreset_ids = load_coreset(args.coreset)
         except CoresetError as exc:
             raise CliError(EXIT_INVALID, f"bad coreset file: {exc}") from exc
 
-    out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise CliError(EXIT_INVALID, f"--out is not a directory: {out}")
+    rundir.check_out(args.out)
     trainers = {"scan": train_scan, "full": train_full, "random": train_random_baseline}
     try:
         if args.method == "static":
@@ -195,51 +161,8 @@ def cmd_train(args) -> int:
     except TrainerError as exc:
         raise CliError(EXIT_INVALID, f"training failed: {exc}") from exc
 
-    # Made only after training, so a failed run leaves no directory behind.
-    out.mkdir(parents=True, exist_ok=True)
-
-    artifacts = []
-    metrics_path = out / "metrics.jsonl"
-    write_metrics(result.records, metrics_path)
-    artifacts.append(metrics_path.name)
-    ckpt_path = out / "checkpoint.bin"
-    save_checkpoint(result.params, ckpt_path)
-    artifacts.append(ckpt_path.name)
-
-    for epoch, ids in sorted(result.exclusions.items()):
-        dump = out / f"pruned_epoch{epoch:04d}.txt"
-        coreset_mod.write_ids(dump, f"epoch={epoch} rho_cur={_fmt(result.records[epoch].rho_cur)}", ids)
-        artifacts.append(dump.name)
-
-    if result.candidate_history:
-        final = result.candidate_history[-1]
-        tags = [(Tag.REDUNDANT if r else Tag.ILL_MATCHED).value for r in final.redundant.tolist()]
-        cand_path = out / "candidates.json"
-        with open(cand_path, "w") as fh:
-            json.dump({
-                "n": ds.n,
-                "built_at_epoch": final.built_at_epoch,
-                "entries": [
-                    {"sample_id": sid, "tag": tag, "rank_score": score}
-                    for sid, tag, score in zip(final.ids.tolist(), tags, final.scores.tolist())
-                ],
-            }, fh)
-        artifacts.append(cand_path.name)
-
-    snapshot = asdict(cfg)
-    snapshot["mode"] = cfg.mode.value
-    manifest = {
-        "run_id": hashlib.sha256(
-            json.dumps([snapshot, args.method, _sha256(data_path)], sort_keys=True).encode()
-        ).hexdigest()[:16],
-        "method": args.method,
-        "config": snapshot,
-        "dataset": {"path": str(data_path), "sha256": _sha256(data_path)},
-        "out_dir": str(out),
-        "artifacts": sorted(artifacts),
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    # Written only after training, so a failed run leaves no directory behind.
+    manifest = rundir.write_run(args.out, args.method, cfg, args.data, data_sha, result, ds.n, save_checkpoint)
     print(f"run {manifest['run_id']} method={args.method} epochs={len(result.records)} "
           f"final_loss={_fmt(result.mean_loss)}")
     return EXIT_OK
@@ -260,54 +183,16 @@ def cmd_schedule(args) -> int:
 
 # ----------------------------------------------------------- export-coreset
 
-def _summary_from_run(run_dir: str) -> PrunedSummary:
-    """A scan run's ``candidates.json`` as a summary.  Exits 4 unless the
-    manifest says the run is a scan run that wrote ``candidates.json`` (a run
-    trained into a former scan run's directory leaves that file behind), on
-    malformed content, and on an ``n`` other than epoch 0's ``active_size``."""
-    manifest = _read_manifest(Path(run_dir))
-    artifacts = manifest.get("artifacts")
-    if manifest.get("method") != "scan" or not isinstance(artifacts, list) or "candidates.json" not in artifacts:
-        raise CliError(EXIT_INVALID, f"bad run directory {run_dir}: its manifest does not list "
-                                     f"candidates.json from a scan run")
-    path = _require_file(str(Path(run_dir) / "candidates.json"))
-    metrics_path = _require_file(str(Path(run_dir) / "metrics.jsonl"))
-    try:
-        records = read_metrics(metrics_path)
-    except TrainerError as exc:
-        raise CliError(EXIT_INVALID, f"bad run directory {run_dir}: {exc}") from exc
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        n, entries = data["n"], data["entries"]
-        ids = [e["sample_id"] for e in entries]
-        if not all(type(v) is int for v in (n, *ids)) or n < 0:
-            raise ValueError("n and every sample_id must be non-negative integers")
-        warmup = records[0].active_size if records else None
-        if n != warmup:
-            raise ValueError(f"n={n}, but the run's first epoch in {metrics_path} trained on {warmup} samples")
-        cands = CandidateSet(
-            ids=ids,
-            redundant=[Tag(e["tag"]) is Tag.REDUNDANT for e in entries],
-            scores=[float(e["rank_score"]) for e in entries],
-            built_at_epoch=int(data["built_at_epoch"]),
-        )
-        cands.validate(n)
-    except (ValueError, KeyError, TypeError, OverflowError, PrunerError) as exc:
-        raise CliError(EXIT_INVALID, f"bad candidates file {path}: {exc}") from exc
-    return PrunedSummary.from_candidates(str(run_dir), cands, n)
-
-
 def cmd_export_coreset(args) -> int:
     if Path(args.out).is_dir():
         raise CliError(EXIT_INVALID, f"--out is a directory: {args.out}")
-    a = _summary_from_run(args.run_a)
-    b = _summary_from_run(args.run_b)
+    a, b = (PrunedSummary.from_candidates(run, *rundir.read_candidates(run))
+            for run in (args.run_a, args.run_b))
     try:
         ids = export_coreset(a, b, args.rho)
     except CoresetError as exc:
         raise CliError(EXIT_INVALID, str(exc)) from exc
-    coreset_mod.save_coreset(ids, a.n, args.rho, (args.run_a, args.run_b), args.out)
+    save_coreset(ids, a.n, args.rho, (args.run_a, args.run_b), args.out)
     print(f"wrote {args.out} |coreset|={len(ids)} of n={a.n}")
     return EXIT_OK
 
@@ -317,44 +202,31 @@ def cmd_export_coreset(args) -> int:
 def cmd_compare(args) -> int:
     ds = None
     if args.data:
-        data_path = _require_file(args.data)
         try:
-            ds = load_dataset(data_path)
+            ds = load_dataset(args.data)
         except DatasetError as exc:
             raise CliError(EXIT_INVALID, f"bad dataset file: {exc}") from exc
-        data_sha = _sha256(data_path)
+        data_sha = rundir.sha256(args.data)
     rows = []
-    for run_dir in args.runs.split(","):
-        run = Path(run_dir)
-        manifest = _read_manifest(run)
-        metrics_path = _require_file(str(run / "metrics.jsonl"))
-        try:
-            method = str(manifest["method"])
-            records = read_metrics(metrics_path)
-        except (KeyError, TrainerError) as exc:
-            raise CliError(EXIT_INVALID, f"bad run directory {run}: {exc}") from exc
-        if not records:
-            raise CliError(EXIT_INVALID, f"no epoch records in {metrics_path}")
+    for run in args.runs.split(","):
+        manifest, records = rundir.read_run(run)
         mean_samples = sum(r.active_size for r in records) / len(records)
         wall = sum(r.wall_ms for r in records)
         probe = float("nan")
         if ds is not None:
             try:
-                params = load_checkpoint(_require_file(str(run / "checkpoint.bin")))
+                params = load_checkpoint(rundir.listed(run, manifest, rundir.CHECKPOINT))
                 if params.dim != ds.dim:
                     raise CliError(EXIT_INVALID, f"{run}: checkpoint dim {params.dim} "
                                                  f"differs from dataset dim {ds.dim}")
-                dataset = manifest.get("dataset")
-                if not isinstance(dataset, dict) or dataset.get("sha256") != data_sha:
-                    raise CliError(EXIT_INVALID, f"{run}: was not trained on {args.data} "
-                                                 f"(its manifest records another or no dataset SHA-256)")
+                rundir.check_dataset(run, manifest, data_sha)
                 probe = linear_probe(params, ds, args.probe_seed)
             except TrainerError as exc:
                 raise CliError(EXIT_INVALID, f"cannot probe {run}: {exc}") from exc
-        rows.append((method, run_dir, probe, mean_samples, wall))
+        rows.append((manifest["method"], run, probe, mean_samples, wall))
     print(f"{'method':<8} {'run':<24} {'probe_acc':>10} {'mean_samples':>13} {'wall_ms':>10}")
-    for method, run_dir, probe, mean_samples, wall in rows:
-        print(f"{method:<8} {run_dir:<24} {_fmt(probe):>10} {_fmt(mean_samples):>13} {_fmt(wall):>10}")
+    for method, run, probe, mean_samples, wall in rows:
+        print(f"{method:<8} {run:<24} {_fmt(probe):>10} {_fmt(mean_samples):>13} {_fmt(wall):>10}")
     return EXIT_OK
 
 
@@ -415,17 +287,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, exc: Exception) -> int:
+    print(f"error code={code} msg={exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error code={exc.code} msg={exc}", file=sys.stderr)
-        return exc.code
-    except FileNotFoundError as exc:
-        print(f"error code={EXIT_MISSING_FILE} msg={exc}", file=sys.stderr)
-        return EXIT_MISSING_FILE
+        return _fail(exc.code, exc)
+    except rundir.RunDirError as exc:
+        return _fail(EXIT_INVALID, exc)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        return _fail(EXIT_MISSING_FILE, exc)
 
 
 if __name__ == "__main__":

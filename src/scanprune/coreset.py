@@ -1,4 +1,4 @@
-"""Static coreset export from two pruning runs, plus overlap diagnostics.
+"""Static coreset export from two pruning runs.
 
 Exactly floor(rho * n) ids are removed, ordered by votes (how many of the two
 runs' final candidate sets list the id: the intersection, then the rest of
@@ -55,20 +55,6 @@ def export_coreset(a: PrunedSummary, b: PrunedSummary, rho: float) -> list[int]:
     return np.flatnonzero(keep).tolist()
 
 
-def overlap_ratio(sets) -> float:
-    """Intersection over union of two or more id sets."""
-    sets = [set(s) for s in sets]
-    if len(sets) < 2:
-        raise CoresetError("overlap_ratio needs at least two sets")
-    union = set().union(*sets)
-    if not union:
-        raise CoresetError("empty union")
-    inter = set(sets[0])
-    for s in sets[1:]:
-        inter &= s
-    return len(inter) / len(union)
-
-
 def write_ids(path, header: str, ids) -> None:
     """One-id-per-line text file: a ``# header`` line, then one id per line."""
     with open(path, "w") as fh:
@@ -81,14 +67,18 @@ def save_coreset(ids, n: int, rho: float, runs: tuple[str, str], path) -> None:
 
 
 def load_coreset(path) -> list[int]:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CoresetError(f"{path}: {exc}") from exc
     ids = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError as exc:
-                raise CoresetError(f"{path}:{lineno}: not an integer id: {line!r}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            ids.append(int(line))
+        except ValueError as exc:
+            raise CoresetError(f"{path}:{lineno}: not an integer id: {line!r}") from exc
     return ids

@@ -373,7 +373,7 @@ _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 def read_metrics(path) -> list[EpochRecord]:
     """Parse a metrics file; a malformed or wrongly typed record raises TrainerError."""
     records = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

@@ -352,3 +352,90 @@ def test_compare_data_sha_mismatch_exit_4(data_file, tmp_path, capsys):
     assert main(["compare", "--runs", str(run), "--data", str(data_file)]) == 4
     assert "SHA-256" in capsys.readouterr().err
     assert main(["compare", "--runs", str(run)]) == 0  # no --data, nothing to check
+
+
+def _fail_checkpoint(params, path):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+def test_failed_train_leaves_no_run(data_file, tmp_path, monkeypatch, reuse):
+    # the manifest is the commit marker: a write that fails after the old
+    # manifest is removed leaves a directory no command reads as a run
+    run = tmp_path / "run"
+    if reuse:
+        assert _train(data_file, run) == 0
+    monkeypatch.setattr("scanprune.cli.save_checkpoint", _fail_checkpoint)
+    with pytest.raises(OSError, match="disk full"):
+        _train(data_file, run, "--method", "full")
+    assert run.is_dir() and not (run / "manifest.json").exists()
+    assert main(["compare", "--runs", str(run)]) == 3
+
+
+def test_compare_reads_only_listed_files(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    for name, argv in (("checkpoint.bin", ["--data", str(data_file)]), ("metrics.jsonl", [])):
+        manifest["artifacts"].remove(name)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["compare", "--runs", str(run), *argv]) == 4, name
+        assert f"does not list {name}" in capsys.readouterr().err, name
+
+
+def test_undecodable_files_exit_4(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    (run / "metrics.jsonl").write_bytes(b"\xff\xfe\n")
+    capsys.readouterr()
+    assert main(["compare", "--runs", str(run)]) == 4
+    assert "bad run directory" in capsys.readouterr().err
+
+    cfg = tmp_path / "train.cfg"
+    cfg.write_bytes(b"lr = 0.1\n\xff\n")
+    assert main(["train", "--config", str(cfg), "--data", str(data_file),
+                 "--out", str(tmp_path / "run2")]) == 4
+    assert "bad config file" in capsys.readouterr().err
+
+    cs = tmp_path / "coreset.txt"
+    cs.write_bytes(b"0\n1\n\xff\n")
+    assert _train(data_file, tmp_path / "run3", "--method", "static", "--coreset", str(cs)) == 4
+    assert "bad coreset file" in capsys.readouterr().err
+    assert not (tmp_path / "run2").exists() and not (tmp_path / "run3").exists()
+
+
+def test_directory_or_file_in_the_wrong_place_exit_3(data_file, tmp_path):
+    assert main(["compare", "--runs", str(data_file)]) == 3  # a run that is a file
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    assert main(["compare", "--runs", str(run), "--data", str(tmp_path)]) == 3
+    assert _train(tmp_path, tmp_path / "x") == 3
+    assert _train(data_file, tmp_path / "x", "--config", str(tmp_path)) == 3
+    assert _train(data_file, tmp_path / "x", "--method", "static", "--coreset", str(tmp_path)) == 3
+
+
+def test_train_out_under_a_file_exits_4_before_training(data_file, tmp_path, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr("scanprune.cli.train_scan", lambda *a: pytest.fail("trained"))
+    assert _train(data_file, taken / "run") == 4
+    assert "not a directory" in capsys.readouterr().err
+
+
+def test_manifest_hashes_the_dataset_as_it_was_read(data_file, tmp_path, monkeypatch):
+    import hashlib
+
+    from scanprune import cli
+
+    read_sha = hashlib.sha256(data_file.read_bytes()).hexdigest()
+    real = cli.train_scan
+
+    def rewrite_then_train(ds, cfg):
+        data_file.write_bytes(b"rewritten while training")
+        return real(ds, cfg)
+
+    monkeypatch.setattr(cli, "train_scan", rewrite_then_train)
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    assert json.loads((run / "manifest.json").read_text())["dataset"]["sha256"] == read_sha

@@ -7,7 +7,6 @@ from scanprune import (
     PrunedSummary,
     export_coreset,
     load_coreset,
-    overlap_ratio,
     save_coreset,
 )
 from scanprune.coreset import CoresetError
@@ -157,25 +156,6 @@ def test_summary_from_candidates():
     s = PrunedSummary.from_candidates("run-x", cs, 20)
     assert s.run_id == "run-x" and s.n == 20
     assert s.candidates is cs
-
-
-def test_overlap_examples():
-    assert overlap_ratio([{0, 1, 2, 3}, {2, 3, 4, 5}]) == pytest.approx(2 / 6)
-    assert overlap_ratio([{1, 2}, {1, 2}]) == 1.0
-    assert overlap_ratio([{1}, {2}]) == 0.0
-    assert overlap_ratio([{1, 2}, {2, 3}, {2, 4}]) == pytest.approx(1 / 4)
-
-
-def test_overlap_order_invariance():
-    sets = [{0, 1, 2}, {1, 2, 3}]
-    assert overlap_ratio(sets) == overlap_ratio(sets[::-1])
-
-
-def test_overlap_validation():
-    with pytest.raises(CoresetError):
-        overlap_ratio([{1, 2}])
-    with pytest.raises(CoresetError):
-        overlap_ratio([set(), set()])
 
 
 def test_save_load_roundtrip(tmp_path):
