@@ -47,7 +47,14 @@ def _fmt(x) -> str:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SCAN_SEED", "0"))
+    """``SCAN_SEED``, the seed of a command given no ``--seed``; read only when one is needed."""
+    raw = os.environ.get("SCAN_SEED", "0")
+    try:
+        if int(raw) >= 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise CliError(EXIT_INVALID, f"SCAN_SEED must be a non-negative integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------- gen-data
@@ -60,7 +67,7 @@ def cmd_gen_data(args) -> int:
         mismatch_frac=args.mismatch_frac,
         duplicate_frac=args.duplicate_frac,
         noise_sigma=args.noise_sigma,
-        seed=args.seed,
+        seed=_default_seed() if args.seed is None else args.seed,
     )
     try:
         ds = generate_paired_dataset(spec)
@@ -121,7 +128,8 @@ def _build_config(args) -> TrainConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    values.setdefault("seed", _default_seed())
+    if "seed" not in values:
+        values["seed"] = _default_seed()
     if "mode" in values:
         try:
             values["mode"] = Mode(values["mode"])
@@ -200,6 +208,8 @@ def cmd_export_coreset(args) -> int:
 # ----------------------------------------------------------------- compare
 
 def cmd_compare(args) -> int:
+    if args.probe_seed < 0:
+        raise CliError(EXIT_INVALID, f"--probe-seed must be >= 0, got {args.probe_seed}")
     ds = None
     if args.data:
         try:
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--mismatch-frac", type=float, default=0.0)
     g.add_argument("--duplicate-frac", type=float, default=0.0)
     g.add_argument("--noise-sigma", type=float, default=0.1)
-    g.add_argument("--seed", type=int, default=_default_seed())
+    g.add_argument("--seed", type=int, help="default: $SCAN_SEED, else 0")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 

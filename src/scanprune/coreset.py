@@ -9,7 +9,9 @@ is the coreset.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +65,15 @@ def write_ids(path, header: str, ids) -> None:
 
 
 def save_coreset(ids, n: int, rho: float, runs: tuple[str, str], path) -> None:
-    write_ids(path, f"n={n} rho={rho} runs={runs[0]},{runs[1]}", ids)
+    """Write the coreset beside ``path`` and move it in with ``os.replace``, so a
+    write that fails partway leaves ``path`` as it was, never a short id list."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write_ids(tmp, f"n={n} rho={rho} runs={runs[0]},{runs[1]}", ids)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_coreset(path) -> list[int]:

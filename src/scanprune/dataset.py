@@ -73,6 +73,8 @@ class GenSpec:
             raise ValidationError("mismatch_frac + duplicate_frac must be <= 1")
         if self.noise_sigma < 0.0:
             raise ValidationError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 L2-normalized outputs, and a learnable log-temperature.
 
 All arithmetic is float64 with fixed-order numpy reductions, so forward passes
-are bit-reproducible.  The temperature is parameterized in log space and
-clamped to [0.01, 100] after every update to prevent collapse or overflow.
+are bit-reproducible.  The MLP tanh runs in place on the hidden pre-activations,
+and ``normalize_rows`` hands back the row norms it divided by, so a training
+step computes each tower's norms once.  The temperature is parameterized in log
+space and clamped to [0.01, 100] after every update to prevent collapse or
+overflow.
 """
 
 from __future__ import annotations
@@ -131,16 +134,23 @@ def forward_tower(params: EncoderParams, tower: Tower, x: np.ndarray):
     w_hidden, w_out = _tower_weights(params, tower)
     if w_hidden is None:
         return x @ w_out.T, None
-    h = np.tanh(x @ w_hidden.T)
+    h = x @ w_hidden.T
+    np.tanh(h, out=h)
     return h @ w_out.T, h
 
 
 def normalize_rows(z: np.ndarray):
-    """L2-normalize rows; exactly-zero rows are passed through and flagged."""
-    norms = np.linalg.norm(z, axis=1)
+    """L2-normalize rows; exactly-zero rows are passed through and flagged.
+
+    Returns ``(embeddings, zero_rows, divisor)``.  The divisor is each row's
+    norm, computed as ``np.linalg.norm(z, axis=1)`` computes it, or 1.0 on a
+    zero row; the backward pass reuses it.
+    """
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))
     zero_rows = norms == 0.0
-    safe = np.where(zero_rows, 1.0, norms)
-    return z / safe[:, None], zero_rows
+    if np.count_nonzero(zero_rows):
+        norms[zero_rows] = 1.0
+    return z / norms[:, None], zero_rows, norms
 
 
 def encode(params: EncoderParams, tower: Tower, x: np.ndarray):
@@ -150,4 +160,5 @@ def encode(params: EncoderParams, tower: Tower, x: np.ndarray):
     pre-normalization output was exactly zero (those rows stay zero).
     """
     z, _ = forward_tower(params, tower, x)
-    return normalize_rows(z)
+    emb, zero_rows, _ = normalize_rows(z)
+    return emb, zero_rows

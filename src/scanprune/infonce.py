@@ -8,8 +8,12 @@ never need a second forward for candidate selection.
 
 The loss pass computes each axis's softmax statistics (max, shifted
 exponentials, their sum) once; the backward reuses those exponentials as the
-softmax, so one training step repeats no reduction over S.  The backward
-builds G and the normalization and tanh gradients in place.
+softmax, so one training step repeats no reduction over S.  Each tower's row
+norms are computed once, in the forward ``normalize_rows``, and reused as the
+backward divisor.  The backward builds G and the normalization and tanh
+gradients in place.  Reductions call the ufunc's ``reduce`` directly: it is the
+C loop ``np.max``/``np.sum`` end in, in the same order, without their Python
+wrapper.
 """
 
 from __future__ import annotations
@@ -64,16 +68,16 @@ def _softmax_stats(S: np.ndarray, axis: int):
     """
     if S.size == 0:
         raise InfoNCEError("empty similarity matrix")
-    m = np.max(S, axis=axis, keepdims=True)
+    m = np.maximum.reduce(S, axis=axis, keepdims=True)
     e = S - m
     np.exp(e, out=e)
-    s = np.sum(e, axis=axis, keepdims=True)
+    s = np.add.reduce(e, axis=axis, keepdims=True)
     return (m + np.log(s)).squeeze(axis), e, s
 
 
 def _loss_pass(S: np.ndarray):
     """LossTable of ``S`` plus the row and column ``(e, s)`` softmax statistics."""
-    diag = np.diag(S)
+    diag = S.diagonal()
     lse_row, e_row, s_row = _softmax_stats(S, axis=1)
     lse_col, e_col, s_col = _softmax_stats(S, axis=0)
     table = LossTable(fg=lse_row - diag, gf=lse_col - diag)
@@ -100,16 +104,18 @@ def batch_loss(table: LossTable) -> float:
     return float((np.mean(table.fg) + np.mean(table.gf)) / 2.0)
 
 
-def _backprop_normalize(d_emb: np.ndarray, emb: np.ndarray, z: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
-    """Pull gradients back through row-wise L2 normalization, in place in ``d_emb``."""
-    norms = np.linalg.norm(z, axis=1)
-    safe = np.where(zero_rows, 1.0, norms)
+def _backprop_normalize(d_emb: np.ndarray, emb: np.ndarray, safe: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
+    """Pull gradients back through row-wise L2 normalization, in place in ``d_emb``.
+
+    ``safe`` is the divisor ``normalize_rows`` returned with ``emb``.
+    """
     t = d_emb * emb
-    inner = np.sum(t, axis=1, keepdims=True)
+    inner = np.add.reduce(t, axis=1, keepdims=True)
     np.multiply(emb, inner, out=t)
     d_emb -= t
     d_emb /= safe[:, None]
-    d_emb[zero_rows] = 0.0
+    if np.count_nonzero(zero_rows):
+        d_emb[zero_rows] = 0.0
     return d_emb
 
 
@@ -135,8 +141,8 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray):
 
     z_f, h_f = forward_tower(params, Tower.F, batch_a)
     z_g, h_g = forward_tower(params, Tower.G, batch_b)
-    e_f, zero_f = normalize_rows(z_f)
-    e_g, zero_g = normalize_rows(z_g)
+    e_f, zero_f, safe_f = normalize_rows(z_f)
+    e_g, zero_g, safe_g = normalize_rows(z_g)
 
     temp = params.temp
     S = e_f @ e_g.T
@@ -153,14 +159,14 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray):
     G /= 2.0 * b
 
     # S scales as exp(-log_temp); G * S goes into p_col, free once G holds the sum
-    d_log_temp = float(-np.sum(np.multiply(G, S, out=p_col)))
+    d_log_temp = float(-np.add.reduce(np.multiply(G, S, out=p_col), axis=None))
 
     d_ef = G @ e_g
     d_ef /= temp
     d_eg = G.T @ e_f
     d_eg /= temp
-    dz_f = _backprop_normalize(d_ef, e_f, z_f, zero_f)
-    dz_g = _backprop_normalize(d_eg, e_g, z_g, zero_g)
+    dz_f = _backprop_normalize(d_ef, e_f, safe_f, zero_f)
+    dz_g = _backprop_normalize(d_eg, e_g, safe_g, zero_g)
 
     if params.is_mlp:
         g_wf = dz_f.T @ h_f

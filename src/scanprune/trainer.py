@@ -80,6 +80,8 @@ class TrainConfig:
             raise TrainerError("out_dim must be >= 1")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise TrainerError("hidden_dim must be >= 1")
+        if self.seed < 0:
+            raise TrainerError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,8 @@ def _run_epoch(params, a, b, order, cfg, keep_tables: bool):
     for start in starts:
         ids = order[start:start + cfg.batch_size]
         grads, table = gradients(params, a[ids], b[ids])
-        sum_fg += float(np.sum(table.fg))
-        sum_gf += float(np.sum(table.gf))
+        sum_fg += float(np.add.reduce(table.fg))
+        sum_gf += float(np.add.reduce(table.gf))
         if keep_tables:
             tables.append((table.fg, table.gf, ids))
         _apply_sgd(params, grads, cfg.lr)

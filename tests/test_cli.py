@@ -163,6 +163,31 @@ def test_seed_env_fallback(data_file, tmp_path, monkeypatch):
     assert manifest["config"]["seed"] == 7
 
 
+def test_negative_or_malformed_seed_exit_4(data_file, tmp_path, monkeypatch, capsys):
+    gen = ["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--out", str(tmp_path / "g.bin")]
+    assert main(gen + ["--seed", "-1"]) == 4
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("seed = -2\n")
+    for i, extra in enumerate((["--seed", "-1"], ["--config", str(cfg)])):
+        out = tmp_path / f"run{i}"
+        assert _train(data_file, out, *extra) == 4, extra
+        assert not out.exists()
+    capsys.readouterr()
+    # rejected before any run is read: the run directory does not exist
+    assert main(["compare", "--runs", str(tmp_path / "absent"), "--probe-seed", "-1"]) == 4
+    assert "--probe-seed" in capsys.readouterr().err
+    for raw in ("abc", "-3"):
+        monkeypatch.setenv("SCAN_SEED", raw)
+        assert main(gen) == 4
+        assert "SCAN_SEED" in capsys.readouterr().err
+        assert _train(data_file, tmp_path / "env") == 4
+        assert "SCAN_SEED" in capsys.readouterr().err
+        # commands that need no seed from the environment do not read it
+        assert main(["schedule", "--tau-cos", "2", "--epochs", "3"]) == 0
+        assert _train(data_file, tmp_path / "flag", "--seed", "2") == 0
+    assert not (tmp_path / "g.bin").exists() and not (tmp_path / "env").exists()
+
+
 def test_config_file_with_flag_override(data_file, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("# comment line\nlr = 0.25\nbatch_size = 16\nseed = 9\n")

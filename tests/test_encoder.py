@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scanprune import EncoderParams, Tower, encode, init_params
-from scanprune.encoder import EncoderError, INIT_TEMP, TEMP_MAX, TEMP_MIN
+from scanprune.encoder import EncoderError, INIT_TEMP, TEMP_MAX, TEMP_MIN, forward_tower, normalize_rows
 
 
 def test_init_shapes_and_temperature():
@@ -99,3 +99,27 @@ def test_params_copy_is_deep():
     q = p.copy()
     q.w_f[0, 0] += 1.0
     assert p.w_f[0, 0] != q.w_f[0, 0]
+
+
+def test_normalize_rows_divisor_is_the_row_norm_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for shape in ((1, 1), (7, 3), (64, 8), (128, 33)):
+        z = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, size=(shape[0], 1))
+        for zeroed in (slice(0, 0), slice(None, None, 3)):
+            z[zeroed] = 0.0
+            emb, zero_rows, divisor = normalize_rows(z)
+            norms = np.linalg.norm(z, axis=1)
+            assert np.array_equal(zero_rows, norms == 0.0)
+            assert divisor[~zero_rows].tobytes() == norms[~zero_rows].tobytes()
+            assert np.all(divisor[zero_rows] == 1.0)
+            assert emb.tobytes() == (z / divisor[:, None]).tobytes()
+
+
+def test_mlp_hidden_activations_are_tanh_exactly():
+    p = init_params(16, 4, seed=3, mlp=True, hidden_dim=32)
+    x = np.random.default_rng(5).standard_normal((12, 16))
+    for tower, w_hidden, w_out in ((Tower.F, p.w_f_hidden, p.w_f), (Tower.G, p.w_g_hidden, p.w_g)):
+        z, h = forward_tower(p, tower, x)
+        ref_h = np.tanh(x @ w_hidden.T)
+        assert h.tobytes() == ref_h.tobytes()
+        assert z.tobytes() == (ref_h @ w_out.T).tobytes()

@@ -209,8 +209,8 @@ def _reference_gradients(p, a, b):
     n = a.shape[0]
     z_f, h_f = forward_tower(p, Tower.F, a)
     z_g, h_g = forward_tower(p, Tower.G, b)
-    e_f, zero_f = normalize_rows(z_f)
-    e_g, zero_g = normalize_rows(z_g)
+    e_f, zero_f = normalize_rows(z_f)[:2]
+    e_g, zero_g = normalize_rows(z_g)[:2]
     S = (e_f @ e_g.T) / p.temp
     diag = np.diag(S)
     G = (softmax(S, 1) + softmax(S, 0) - 2.0 * np.eye(n)) / (2.0 * n)

@@ -1,8 +1,9 @@
-"""The benchmark tracer's ``scanprune.cli`` sites are the ones the commands call.
+"""The benchmark tracer's sites are the ones the library calls.
 
-``bench/tracer.py`` wraps each library function at the name ``scanprune.cli``
-looks it up by.  Its own test checks only that the names exist; this one runs
-the README workflow under the tracer and checks that the I/O spans are hit.
+``bench/tracer.py`` wraps each library function at the name its caller looks
+it up by.  Its own test checks only that the names exist and counts
+``forward_tower``; these run the README workflow and a training run under the
+tracer and check that the I/O spans and ``normalize_rows`` are hit.
 """
 
 import sys
@@ -13,6 +14,7 @@ if BENCH not in sys.path:
     sys.path.insert(0, BENCH)
 
 import tracer  # noqa: E402
+from scanprune import GenSpec, TrainConfig, generate_paired_dataset, trainer  # noqa: E402
 from scanprune.cli import main  # noqa: E402
 
 
@@ -34,3 +36,16 @@ def test_cli_commands_call_through_the_traced_sites(tmp_path):
     assert t.calls["dataset.load_dataset"] == 3
     assert t.calls["coreset.export_coreset"] == 1
     assert t.calls["trainer.linear_probe"] == 2
+
+
+def test_train_scan_normalizes_each_tower_once_per_forward_pass():
+    # the tracer's per-layer encoder.normalize_rows metric reads the
+    # infonce.normalize_rows site; a step that stopped calling it by that name
+    # would report zero time there
+    ds = generate_paired_dataset(GenSpec(n=64, dim=8, num_classes=4, mismatch_frac=0.1,
+                                         duplicate_frac=0.1, noise_sigma=0.1, seed=3))
+    cfg = TrainConfig(rho=0.3, tau_cos=3, tau_stop=8, t_td=1.0, batch_size=16, out_dim=4, seed=1)
+    with tracer.Tracer() as t:
+        result = trainer.train_scan(ds, cfg)
+    assert result.forward_passes > 0
+    assert t.calls["encoder.normalize_rows"] == 2 * result.forward_passes

@@ -1,6 +1,9 @@
+import ctypes
 import dataclasses
 import json
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,12 @@ from scanprune.trainer import (
     read_metrics,
     write_metrics,
 )
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+
+import envinfo  # noqa: E402
 
 
 def _ds(n=256, dim=8, nc=4, seed=0, **kw):
@@ -400,3 +409,40 @@ def test_candidate_tags_balanced():
         ill = cs.ids_by_tag(Tag.ILL_MATCHED)
         assert len(red) == len(ill)
         assert not set(red) & set(ill)
+
+
+def _openblas_set_threads():
+    """NumPy's bundled OpenBLAS per-process thread setter, or None where it is absent."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            fn = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = None
+            return fn
+    return None
+
+
+def test_blas_thread_count_does_not_change_results(tmp_path):
+    # 128x128x1024 matmuls are large enough for OpenBLAS to split across threads
+    set_threads, before = _openblas_set_threads(), envinfo.blas_threads()
+    if set_threads is None or before is None:
+        pytest.skip("no OpenBLAS thread setter in this NumPy build")
+    ds = generate_paired_dataset(GenSpec(n=512, dim=128, num_classes=8, mismatch_frac=0.1,
+                                         duplicate_frac=0.1, noise_sigma=0.1, seed=1))
+    cfg = TrainConfig(rho=0.3, tau_cos=2, tau_stop=4, t_td=1.0, batch_size=128, lr=0.5,
+                      out_dim=2, seed=1, mlp=True, hidden_dim=1024)
+    blobs = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            if envinfo.blas_threads() != threads:
+                pytest.skip(f"OpenBLAS will not run {threads} threads here")
+            path = tmp_path / f"threads{threads}.bin"
+            save_checkpoint(train_scan(ds, cfg).params, path)
+            blobs.append(path.read_bytes())
+    finally:
+        set_threads(before)
+    assert blobs[0] == blobs[1]
