@@ -158,31 +158,53 @@ def generate_paired_dataset(spec: GenSpec) -> PairedDataset:
     corruption[corrupt_ids[:n_mm]] = MISMATCHED
     corruption[corrupt_ids[n_mm:]] = DUPLICATE
 
-    view_a = np.empty((spec.n, spec.dim))
-    view_b = np.empty((spec.n, spec.dim))
-    sigma = spec.noise_sigma
-    clean_so_far: list[int] = []
-    for i in range(spec.n):
-        flag = corruption[i]
+    # Row i draws, in stream order: for a duplicate, the index of its source
+    # among the clean rows before i; dim normals for view A; for a mismatch,
+    # the class of view B; dim normals for view B.  So the normals between two
+    # integer draws are one contiguous stretch of ``z`` (rows, then views):
+    # each stretch is one standard_normal call, and only the corrupted rows
+    # step through Python.
+    z = np.empty((spec.n, 2, spec.dim))
+    flat = z.reshape(-1)
+    classes = np.repeat(labels[:, None], 2, axis=1)  # prototype row of each view
+    clean_ids = np.flatnonzero(corruption == CLEAN)
+    rows = np.flatnonzero(corruption)
+    dup_ids, dup_src = [], []
+    pos = 0
+    for i, flag, label, n_clean in zip(rows.tolist(), corruption[rows].tolist(), labels[rows].tolist(),
+                                       np.searchsorted(clean_ids, rows).tolist()):
+        cut = (2 * i + (flag == MISMATCHED)) * spec.dim
+        rng.standard_normal(out=flat[pos:cut])
+        pos = cut
         if flag == DUPLICATE:
-            j = clean_so_far[rng.integers(len(clean_so_far))]
-            labels[i] = labels[j]
-            view_a[i] = view_a[j] + 0.1 * sigma * rng.standard_normal(spec.dim)
-            view_b[i] = view_b[j] + 0.1 * sigma * rng.standard_normal(spec.dim)
-            continue
-        view_a[i] = protos[labels[i]] + sigma * rng.standard_normal(spec.dim)
-        if flag == MISMATCHED:
-            other = int(rng.integers(spec.num_classes - 1))
-            if other >= labels[i]:
-                other += 1
-            view_b[i] = protos[other] + sigma * rng.standard_normal(spec.dim)
+            dup_ids.append(i)
+            dup_src.append(int(clean_ids[rng.integers(n_clean)]))
         else:
-            view_b[i] = protos[labels[i]] + sigma * rng.standard_normal(spec.dim)
-            clean_so_far.append(i)
+            other = int(rng.integers(spec.num_classes - 1))
+            if other >= label:
+                other += 1
+            classes[i, 1] = other
+    rng.standard_normal(out=flat[pos:])
+
+    # In place, with the arithmetic of ``proto + sigma * z`` (IEEE + commutes)
+    # and ``source + 0.1 * sigma * z``; duplicates read only clean rows, so
+    # they are filled last.  Prototypes are added in blocks to bound the
+    # gathered temporary.
+    sigma = spec.noise_sigma
+    dup_z = z[dup_ids]
+    z *= sigma
+    block = max(1, (1 << 16) // (2 * spec.dim))
+    for s in range(0, spec.n, block):
+        z[s:s + block] += protos[classes[s:s + block]]
+    dup_z *= 0.1 * sigma
+    dup_z += z[dup_src]
+    z[dup_ids] = dup_z
+    labels[dup_ids] = labels[dup_src]
+    del dup_z  # not alive beside the float32 copies, which are the peak
 
     ds = PairedDataset(
-        view_a=view_a.astype(np.float32),
-        view_b=view_b.astype(np.float32),
+        view_a=z[:, 0].astype(np.float32),
+        view_b=z[:, 1].astype(np.float32),
         labels=labels,
         corruption=corruption,
         num_classes=spec.num_classes,

@@ -25,6 +25,7 @@ MANIFEST = "manifest.json"
 METRICS = "metrics.jsonl"
 CHECKPOINT = "checkpoint.bin"
 CANDIDATES = "candidates.json"
+_ENTRY_SLICE = 2048  # candidates.json entries encoded per json.dumps call
 
 
 class RunDirError(Exception):
@@ -62,11 +63,20 @@ def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, resu
         artifacts.append(name)
     if result.candidate_history:
         final = result.candidate_history[-1]
+        ids, scores = final.ids.tolist(), final.scores.tolist()
         tags = [(Tag.REDUNDANT if r else Tag.ILL_MATCHED).value for r in final.redundant.tolist()]
-        entries = [{"sample_id": sid, "tag": tag, "rank_score": score}
-                   for sid, tag, score in zip(final.ids.tolist(), tags, final.scores.tolist())]
+        # The bytes of one json.dump of the whole object, but from json.dumps,
+        # whose C encoder is twice as fast as json.dump's Python one; encoding
+        # the entries a slice at a time keeps the document out of memory.
+        head, tail = json.dumps({"n": n, "built_at_epoch": final.built_at_epoch, "entries": [None]}).split("null")
         with open(out / CANDIDATES, "w") as fh:
-            json.dump({"n": n, "built_at_epoch": final.built_at_epoch, "entries": entries}, fh)
+            fh.write(head)
+            for k in range(0, len(ids), _ENTRY_SLICE):
+                part = slice(k, k + _ENTRY_SLICE)
+                entries = [{"sample_id": sid, "tag": tag, "rank_score": score}
+                           for sid, tag, score in zip(ids[part], tags[part], scores[part])]
+                fh.write((", " if k else "") + json.dumps(entries)[1:-1])
+            fh.write(tail)
         artifacts.append(CANDIDATES)
 
     snapshot = asdict(cfg)

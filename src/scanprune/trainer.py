@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from scanprune import blas
 from scanprune.dataset import PairedDataset
 from scanprune.encoder import EncoderParams, Tower, encode, init_params
 from scanprune.infonce import gradients
@@ -269,19 +270,23 @@ def linear_probe(params: EncoderParams, ds: PairedDataset, probe_seed: int) -> f
     """Frozen-encoder logistic-regression accuracy on an 80/20 split.
 
     Full-batch gradient descent on tower-F embeddings: 200 steps, lr 0.5.
+    Runs with one BLAS thread: its matmuls are thin (n x out_dim x classes)
+    and most of each step is elementwise, so a second thread only spin-waits.
+    The caller's thread count is restored on return or raise.
     """
-    labels = ds.labels.astype(np.int64)
-    classes = np.unique(labels)
-    if classes.size < 2:
-        raise TrainerError("linear probe needs at least two classes")
-    emb, _ = encode(params, Tower.F, ds.view_a.astype(np.float64))
-    rng = np.random.Generator(np.random.PCG64(probe_seed))
-    perm = rng.permutation(ds.n)
-    split = int(0.8 * ds.n)
-    tr, te = perm[:split], perm[split:]
-    w, bias = _fit_probe(emb[tr], labels[tr], int(classes.max()) + 1)
-    pred = np.argmax(emb[te] @ w.T + bias, axis=1)
-    return float(np.mean(pred == labels[te]))
+    with blas.single_threaded():
+        labels = ds.labels.astype(np.int64)
+        classes = np.unique(labels)
+        if classes.size < 2:
+            raise TrainerError("linear probe needs at least two classes")
+        emb, _ = encode(params, Tower.F, ds.view_a.astype(np.float64))
+        rng = np.random.Generator(np.random.PCG64(probe_seed))
+        perm = rng.permutation(ds.n)
+        split = int(0.8 * ds.n)
+        tr, te = perm[:split], perm[split:]
+        w, bias = _fit_probe(emb[tr], labels[tr], int(classes.max()) + 1)
+        pred = np.argmax(emb[te] @ w.T + bias, axis=1)
+        return float(np.mean(pred == labels[te]))
 
 
 def _fit_probe(x_tr: np.ndarray, y_tr: np.ndarray, n_cls: int) -> tuple[np.ndarray, np.ndarray]:

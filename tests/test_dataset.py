@@ -1,8 +1,10 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scanprune import (
     CLEAN,
@@ -15,9 +17,11 @@ from scanprune import (
 )
 from scanprune.dataset import (
     BadMagicError,
+    PairedDataset,
     TruncatedFileError,
     ValidationError,
     VersionMismatchError,
+    _class_prototypes,
 )
 
 
@@ -179,3 +183,108 @@ def test_declared_sizes_checked_before_reading(tmp_path):
     cut.write_bytes(raw[:-1])  # one byte short of the corruption flags
     with pytest.raises(TruncatedFileError):
         load_dataset(cut)
+
+
+def _reference_generate(spec: GenSpec) -> PairedDataset:
+    """The per-row generator the batched one replaced; it must match byte for byte."""
+    spec.validate()
+    n_mm = int(spec.mismatch_frac * spec.n + 1e-9)
+    n_dup = int(spec.duplicate_frac * spec.n + 1e-9)
+    if n_dup > 0 and n_mm + n_dup >= spec.n:
+        raise ValidationError("duplicates require at least one clean row")
+
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    protos = _class_prototypes(rng, spec.num_classes, spec.dim)
+
+    labels = np.arange(spec.n, dtype=np.uint32) % spec.num_classes
+    labels = labels[rng.permutation(spec.n)]
+
+    corruption = np.zeros(spec.n, dtype=np.uint8)
+    corrupt_ids = rng.permutation(np.arange(1, spec.n))[: n_mm + n_dup] if spec.n > 1 else np.array([], dtype=int)
+    corruption[corrupt_ids[:n_mm]] = MISMATCHED
+    corruption[corrupt_ids[n_mm:]] = DUPLICATE
+
+    view_a = np.empty((spec.n, spec.dim))
+    view_b = np.empty((spec.n, spec.dim))
+    sigma = spec.noise_sigma
+    clean_so_far: list[int] = []
+    for i in range(spec.n):
+        flag = corruption[i]
+        if flag == DUPLICATE:
+            j = clean_so_far[rng.integers(len(clean_so_far))]
+            labels[i] = labels[j]
+            view_a[i] = view_a[j] + 0.1 * sigma * rng.standard_normal(spec.dim)
+            view_b[i] = view_b[j] + 0.1 * sigma * rng.standard_normal(spec.dim)
+            continue
+        view_a[i] = protos[labels[i]] + sigma * rng.standard_normal(spec.dim)
+        if flag == MISMATCHED:
+            other = int(rng.integers(spec.num_classes - 1))
+            if other >= labels[i]:
+                other += 1
+            view_b[i] = protos[other] + sigma * rng.standard_normal(spec.dim)
+        else:
+            view_b[i] = protos[labels[i]] + sigma * rng.standard_normal(spec.dim)
+            clean_so_far.append(i)
+
+    return PairedDataset(view_a=view_a.astype(np.float32), view_b=view_b.astype(np.float32),
+                         labels=labels, corruption=corruption, num_classes=spec.num_classes)
+
+
+def _raw(ds: PairedDataset) -> tuple:
+    arrays = (ds.view_a, ds.view_b, ds.labels, ds.corruption)
+    return (ds.num_classes,) + tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+@st.composite
+def _gen_specs(draw):
+    n = draw(st.integers(2, 30))
+    nc = draw(st.sampled_from([2, min(4, n), n]))
+    mf = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    # the largest duplicate_frac that leaves one clean row
+    df_max = max(0.0, (n - 1 - int(mf * n + 1e-9)) / n)
+    df = draw(st.sampled_from([0.0, df_max]) | st.floats(0, df_max))
+    return GenSpec(n=n, dim=draw(st.integers(2, 12)), num_classes=nc, mismatch_frac=mf,
+                   duplicate_frac=df, noise_sigma=draw(st.sampled_from([0.0, 0.1]) | st.floats(0, 2)),
+                   seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_gen_specs())
+@example(spec=_spec(n=10, mismatch_frac=1.0, duplicate_frac=0.0))
+@example(spec=_spec(n=10, mismatch_frac=0.0, duplicate_frac=0.9))
+@example(spec=_spec(n=10, mismatch_frac=0.3, duplicate_frac=0.6, noise_sigma=0.0))
+@example(spec=_spec(n=10, num_classes=10, mismatch_frac=0.3, duplicate_frac=0.3))
+def test_generator_matches_per_row_reference(spec):
+    try:
+        expected = _reference_generate(spec)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            generate_paired_dataset(spec)
+        return
+    assert _raw(generate_paired_dataset(spec)) == _raw(expected)
+
+
+@pytest.mark.parametrize("n, dim, sha", [
+    (2000, 128, "8e93cc0ded2a3fd7c88b0382260110886cc972c40b42406c7cb42f91895fd631"),
+    (20000, 32, "aad2fc49e0610d9490ff8425df54e6581e73d476785c1156d6fc44aea330a2d7"),
+], ids=["readme-gen-data", "cli-pipeline-seed1"])
+def test_corpus_file_bytes_are_pinned(tmp_path, n, dim, sha):
+    spec = GenSpec(n=n, dim=dim, num_classes=8, mismatch_frac=0.1, duplicate_frac=0.1,
+                   noise_sigma=0.1, seed=1)
+    path = tmp_path / "corpus.bin"
+    save_dataset(generate_paired_dataset(spec), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_generator_memory_peak():
+    # The float64 working array plus the two float32 views are about 14.6 MiB;
+    # a second full-size array or full-size gathered temporaries would add 5-10.
+    spec = GenSpec(n=20000, dim=32, num_classes=8, mismatch_frac=0.1, duplicate_frac=0.1,
+                   noise_sigma=0.1, seed=1)
+    tracemalloc.start()
+    try:
+        generate_paired_dataset(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 2**20

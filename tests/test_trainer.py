@@ -1,9 +1,7 @@
-import ctypes
+import contextlib
 import dataclasses
 import json
 import struct
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from scanprune import (
     train_scan,
     train_static_coreset,
 )
+from scanprune import blas, trainer
 from scanprune.encoder import Tower, encode
 from scanprune.infonce import gradients
 from scanprune.trainer import (
@@ -34,13 +33,6 @@ from scanprune.trainer import (
     read_metrics,
     write_metrics,
 )
-
-BENCH = str(Path(__file__).resolve().parent.parent / "bench")
-if BENCH not in sys.path:
-    sys.path.insert(0, BENCH)
-
-import envinfo  # noqa: E402
-
 
 def _ds(n=256, dim=8, nc=4, seed=0, **kw):
     base = dict(mismatch_frac=0.1, duplicate_frac=0.1, noise_sigma=0.1)
@@ -411,38 +403,87 @@ def test_candidate_tags_balanced():
         assert not set(red) & set(ill)
 
 
-def _openblas_set_threads():
-    """NumPy's bundled OpenBLAS per-process thread setter, or None where it is absent."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            fn = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
-        except OSError:
-            continue
-        if fn is not None:
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = None
-            return fn
-    return None
+@contextlib.contextmanager
+def _at_threads(count: int):
+    """``blas.threads(count)``, skipping the test where OpenBLAS will not run that many."""
+    if blas.num_threads() is None:
+        pytest.skip("no bundled OpenBLAS thread setter in this NumPy build")
+    with blas.threads(count):
+        if blas.num_threads() != count:
+            pytest.skip(f"OpenBLAS will not run {count} threads here")
+        yield
 
 
 def test_blas_thread_count_does_not_change_results(tmp_path):
     # 128x128x1024 matmuls are large enough for OpenBLAS to split across threads
-    set_threads, before = _openblas_set_threads(), envinfo.blas_threads()
-    if set_threads is None or before is None:
-        pytest.skip("no OpenBLAS thread setter in this NumPy build")
     ds = generate_paired_dataset(GenSpec(n=512, dim=128, num_classes=8, mismatch_frac=0.1,
                                          duplicate_frac=0.1, noise_sigma=0.1, seed=1))
     cfg = TrainConfig(rho=0.3, tau_cos=2, tau_stop=4, t_td=1.0, batch_size=128, lr=0.5,
                       out_dim=2, seed=1, mlp=True, hidden_dim=1024)
     blobs = []
-    try:
-        for threads in (1, 2):
-            set_threads(threads)
-            if envinfo.blas_threads() != threads:
-                pytest.skip(f"OpenBLAS will not run {threads} threads here")
+    for threads in (1, 2):
+        with _at_threads(threads):
             path = tmp_path / f"threads{threads}.bin"
             save_checkpoint(train_scan(ds, cfg).params, path)
             blobs.append(path.read_bytes())
-    finally:
-        set_threads(before)
     assert blobs[0] == blobs[1]
+
+
+def test_fit_probe_bit_identical_at_one_and_two_threads():
+    # 16000 x 8 is the training split of a 20000-row corpus at out_dim 8, a
+    # shape OpenBLAS splits over two threads
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16000, 8))
+    y = rng.integers(0, 8, 16000)
+    fits = []
+    for threads in (1, 2):
+        with _at_threads(threads):
+            w, bias = _fit_probe(x, y, 8)
+            fits.append(w.tobytes() + bias.tobytes())
+    assert fits[0] == fits[1]
+
+
+def test_linear_probe_runs_single_threaded_and_restores_the_count(monkeypatch):
+    ds = _ds(n=200, dim=8)
+    params = init_params(8, 2, seed=3)
+    seen = []
+
+    def spy(*args):
+        seen.append(blas.num_threads())
+        return fit(*args)
+
+    fit = trainer._fit_probe
+    monkeypatch.setattr(trainer, "_fit_probe", spy)
+    with _at_threads(2):
+        linear_probe(params, ds, probe_seed=0)
+        assert blas.num_threads() == 2
+        # a probe that raises inside the scope restores the count too
+        one_class = dataclasses.replace(ds, labels=np.zeros_like(ds.labels))
+        with pytest.raises(TrainerError, match="two classes"):
+            linear_probe(params, one_class, probe_seed=0)
+        assert blas.num_threads() == 2
+        monkeypatch.setattr(trainer, "_fit_probe", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            linear_probe(params, ds, probe_seed=0)
+        assert blas.num_threads() == 2
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("symbol", ["_GET", "_SET"])
+def test_thread_scope_is_a_no_op_without_either_symbol(monkeypatch, symbol):
+    with _at_threads(2):
+        real_get = blas._functions()[0]
+        ds = _ds(n=200, dim=8)
+        params = init_params(8, 2, seed=3)
+        expected = linear_probe(params, ds, probe_seed=0)
+        monkeypatch.setattr(blas, symbol, "no_such_symbol")
+        blas._functions.cache_clear()
+        try:
+            assert blas.num_threads() is None
+            with blas.single_threaded():
+                assert real_get() == 2
+            assert linear_probe(params, ds, probe_seed=0) == expected
+        finally:
+            monkeypatch.undo()
+            blas._functions.cache_clear()
+        assert blas.num_threads() == 2
