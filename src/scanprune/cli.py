@@ -155,7 +155,7 @@ def cmd_train(args) -> int:
         if not args.coreset:
             raise CliError(EXIT_INVALID, "--coreset is required for method=static")
         try:
-            coreset_ids = load_coreset(args.coreset)
+            coreset_ids = load_coreset(args.coreset, n=ds.n)
         except CoresetError as exc:
             raise CliError(EXIT_INVALID, f"bad coreset file: {exc}") from exc
 
@@ -210,6 +210,9 @@ def cmd_export_coreset(args) -> int:
 def cmd_compare(args) -> int:
     if args.probe_seed < 0:
         raise CliError(EXIT_INVALID, f"--probe-seed must be >= 0, got {args.probe_seed}")
+    runs = args.runs.split(",")
+    if not all(runs):
+        raise CliError(EXIT_INVALID, f"--runs has an empty entry: {args.runs!r}")
     ds = None
     if args.data:
         try:
@@ -218,7 +221,7 @@ def cmd_compare(args) -> int:
             raise CliError(EXIT_INVALID, f"bad dataset file: {exc}") from exc
         data_sha = rundir.sha256(args.data)
     rows = []
-    for run in args.runs.split(","):
+    for run in runs:
         manifest, records = rundir.read_run(run)
         mean_samples = sum(r.active_size for r in records) / len(records)
         wall = sum(r.wall_ms for r in records)

@@ -9,7 +9,9 @@ is the coreset.
 
 from __future__ import annotations
 
+import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,7 +78,16 @@ def save_coreset(ids, n: int, rho: float, runs: tuple[str, str], path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_coreset(path) -> list[int]:
+_HEADER = re.compile(r"# n=(\d+) rho=(\S+) runs=")
+
+
+def load_coreset(path, n: int | None = None) -> list[int]:
+    """The ids of a coreset file.
+
+    A file that starts with ``save_coreset``'s header must hold exactly
+    n - floor(rho * n) ids, and, when ``n`` is given, declare that ``n``.  A
+    file without that header is read as a plain id list.
+    """
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -91,4 +102,19 @@ def load_coreset(path) -> list[int]:
             ids.append(int(line))
         except ValueError as exc:
             raise CoresetError(f"{path}:{lineno}: not an integer id: {line!r}") from exc
+    header = _HEADER.match(lines[0]) if lines else None
+    if header:
+        declared = int(header[1])
+        try:
+            rho = float(header[2])
+        except ValueError:
+            rho = math.nan
+        if not 0.0 < rho < 1.0:
+            raise CoresetError(f"{path}: bad rho in header: {header[2]!r}")
+        if n is not None and declared != n:
+            raise CoresetError(f"{path}: header declares n={declared}, the dataset has n={n}")
+        expected = declared - int(rho * declared + 1e-9)
+        if len(ids) != expected:
+            raise CoresetError(f"{path}: header n={declared} rho={rho} means {expected} ids, "
+                               f"the file holds {len(ids)}")
     return ids

@@ -292,33 +292,86 @@ def linear_probe(params: EncoderParams, ds: PairedDataset, probe_seed: int) -> f
 def _fit_probe(x_tr: np.ndarray, y_tr: np.ndarray, n_cls: int) -> tuple[np.ndarray, np.ndarray]:
     """Softmax regression on ``x_tr``: 200 full-batch gradient steps, lr 0.5.
 
-    One ``(n, n_cls)`` buffer holds each step's logits, then softmax, then
-    gradient, in place.  The row max is a running ``np.maximum`` over the
-    columns (max is exact in any order); every other reduction and matmul is
-    the one of the textbook step ``g = (softmax(x @ w.T + b) - onehot) / n``,
-    so ``w`` and ``bias`` are bit-identical to it.
+    Each step's softmax lives class-major, in an ``(n_cls, n)`` buffer ``g``,
+    so every per-class pass is one contiguous elementwise op.  ``w`` and
+    ``bias`` are bit-identical to the textbook step
+    ``g = (softmax(x @ w.T + b) - onehot) / n`` on ``(n, n_cls)`` arrays:
+
+    - the matmuls are its calls on the ``(n, n_cls)`` buffer ``g_nc``; the
+      logits move class-major in the bias add and the gradient moves back in
+      the ``/ n``, both elementwise;
+    - the row max is a running ``np.maximum`` over the class rows (max is
+      exact in any order);
+    - the softmax denominator replays ``g.sum(axis=1)``'s pairwise order over
+      the class rows (``_pairwise_sum``);
+    - the bias sum adds the rows of ``g_nc`` in order, as ``g.sum(axis=0)``
+      does; ``np.einsum("ij->j")`` does that with less per-row overhead
+      (it would sum a single column in another order; ``n_cls >= 2``).
     """
     n = len(y_tr)
     w = np.zeros((n_cls, x_tr.shape[1]))
     bias = np.zeros(n_cls)
-    g = np.empty((n, n_cls))
-    row_max = np.empty(n)
+    g = np.empty((n_cls, n))
+    g_nc = np.empty((n, n_cls))
+    work = g_nc.reshape(n_cls, n)[:8]  # the pairwise partials reuse g_nc once its logits are spent
+    row_max = np.empty(n)  # then the softmax denominator
     g_flat = g.reshape(-1)
-    label_at = np.arange(n) * n_cls + y_tr  # flat index of each row's label
+    label_at = np.ravel_multi_index((y_tr, np.arange(n)), g.shape)  # flat index of each label
     for _ in range(200):
-        np.matmul(x_tr, w.T, out=g)
-        g += bias
-        np.copyto(row_max, g[:, 0])
-        for j in range(1, n_cls):
-            np.maximum(row_max, g[:, j], out=row_max)
-        g -= row_max[:, None]
+        np.matmul(x_tr, w.T, out=g_nc)
+        np.add(g_nc.T, bias[:, None], out=g)
+        np.copyto(row_max, g[0])
+        for row in g[1:]:
+            np.maximum(row_max, row, out=row_max)
+        g -= row_max
         np.exp(g, out=g)
-        g /= g.sum(axis=1, keepdims=True)
+        g /= _pairwise_sum(g, row_max, work)
         g_flat[label_at] -= 1.0
-        g /= n
-        w -= 0.5 * (g.T @ x_tr)
-        bias -= 0.5 * g.sum(axis=0)
+        np.divide(g, n, out=g_nc.T)
+        w -= 0.5 * (g_nc.T @ x_tr)
+        bias -= 0.5 * np.einsum("ij->j", g_nc)
     return w, bias
+
+
+def _pairwise_sum(a: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Sum a's rows into ``out``, bit for bit as ``x.sum(axis=1)`` sums ``x``,
+    the C-contiguous ``(n, c)`` copy of ``a.T``.
+
+    NumPy reduces a contiguous axis of c values with ``pairwise_sum``: below 8
+    values in order; up to 128 in eight strided accumulators combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder in order;
+    above 128 it splits at ``c//2 - (c//2) % 8`` and recurses.  Here each
+    value is a row of ``a``, so each step is one vector op.  ``work`` holds
+    at least ``min(c, 8)`` spare rows.
+    """
+    c = len(a)
+    if c < 8:
+        np.copyto(out, a[0])
+        for row in a[1:]:
+            out += row
+        return out
+    if c > 128:
+        half = c // 2 - (c // 2) % 8
+        _pairwise_sum(a[:half], out, work)
+        out += _pairwise_sum(a[half:], np.empty_like(out), work)
+        return out
+    tail = c - c % 8
+    r = a
+    if tail > 8:
+        r = work
+        np.copyto(r, a[:8])
+        for i in range(8, tail, 8):
+            r += a[i:i + 8]
+    np.add(r[0], r[1], out=work[0])
+    np.add(r[2], r[3], out=work[1])
+    np.add(r[4], r[5], out=work[2])
+    np.add(r[6], r[7], out=work[3])
+    work[0] += work[1]
+    work[2] += work[3]
+    np.add(work[0], work[2], out=out)
+    for row in a[tail:]:
+        out += row
+    return out
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:

@@ -319,7 +319,9 @@ def test_static_coreset_non_integer_line_exit_4(data_file, tmp_path, capsys):
 
 
 def test_static_coreset_bad_ids_exit_4_without_run_dir(data_file, tmp_path, capsys):
-    cases = {"repeated id": "0\n1\n0\n2\n", "out of range": "0\n1\n64\n"}
+    # 48 ids each, the count the header's n=64 rho=0.25 declares
+    cases = {"repeated id": "0\n" * 2 + "".join(f"{i}\n" for i in range(1, 47)),
+             "out of range": "".join(f"{i}\n" for i in range(47)) + "64\n"}
     for name, body in cases.items():
         cs = tmp_path / "coreset.txt"
         cs.write_text("# n=64 rho=0.25 runs=a,b\n" + body)
@@ -464,3 +466,47 @@ def test_manifest_hashes_the_dataset_as_it_was_read(data_file, tmp_path, monkeyp
     run = tmp_path / "run"
     assert _train(data_file, run) == 0
     assert json.loads((run / "manifest.json").read_text())["dataset"]["sha256"] == read_sha
+
+
+def _export(data_file, tmp_path):
+    ra, rb, cs = tmp_path / "ra", tmp_path / "rb", tmp_path / "coreset.txt"
+    assert _train(data_file, ra, "--seed", "1") == 0
+    assert _train(data_file, rb, "--seed", "2") == 0
+    assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb),
+                 "--rho", "0.25", "--out", str(cs)]) == 0
+    return cs
+
+
+def test_static_coreset_short_or_foreign_file_exit_4(data_file, tmp_path, capsys):
+    cs = _export(data_file, tmp_path)
+    lines = cs.read_text().splitlines(keepends=True)
+    assert lines[0].startswith("# n=64 rho=0.25 ") and len(lines) == 1 + 48
+    cases = {"truncated": ("".join(lines[:30]), "means 48 ids, the file holds 29"),
+             "n mismatch": (lines[0].replace("n=64", "n=80") + "".join(lines[1:]), "dataset has n=64")}
+    for name, (text, message) in cases.items():
+        cs.write_text(text)
+        out = tmp_path / "static"
+        capsys.readouterr()
+        assert _train(data_file, out, "--method", "static", "--coreset", str(cs)) == 4, name
+        err = capsys.readouterr().err
+        assert "bad coreset file" in err and message in err, name
+        assert not out.exists(), name
+
+
+def test_static_coreset_without_header_still_trains(data_file, tmp_path):
+    cs = tmp_path / "ids.txt"
+    cs.write_text("".join(f"{i}\n" for i in range(0, 64, 3)))
+    out = tmp_path / "static"
+    assert _train(data_file, out, "--method", "static", "--coreset", str(cs)) == 0
+    assert all(r.active_size == 22 for r in read_metrics(out / "metrics.jsonl"))
+
+
+def test_compare_empty_runs_entry_exit_4(data_file, tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    monkeypatch.chdir(run)  # an empty entry must not read the current directory as a run
+    for runs in (f"{run},", "", f",{run}", f"{run},,{run}"):
+        capsys.readouterr()
+        assert main(["compare", "--runs", runs, "--data", str(data_file)]) == 4, runs
+        captured = capsys.readouterr()
+        assert "--runs has an empty entry" in captured.err and captured.out == "", runs

@@ -159,7 +159,7 @@ def test_summary_from_candidates():
 
 
 def test_save_load_roundtrip(tmp_path):
-    ids = [0, 2, 5, 8, 13]
+    ids = [0, 2, 5, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19]  # n - floor(rho * n) = 14
     path = tmp_path / "coreset.txt"
     save_coreset(ids, n=20, rho=0.3, runs=("run-a", "run-b"), path=path)
     assert load_coreset(path) == ids
@@ -184,3 +184,24 @@ def test_failed_save_leaves_no_short_coreset(tmp_path):
         save_coreset(_ids_then_fail(10), n=100, rho=0.3, runs=("c", "d"), path=previous)
     assert previous.read_bytes() == before
     assert sorted(q.name for q in tmp_path.iterdir()) == ["previous.txt"]
+
+
+def test_load_coreset_checks_the_header(tmp_path):
+    path = tmp_path / "coreset.txt"
+    save_coreset(range(14), n=20, rho=0.3, runs=("a", "b"), path=path)
+    assert load_coreset(path, n=20) == list(range(14))
+    with pytest.raises(CoresetError, match="dataset has n=21"):
+        load_coreset(path, n=21)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))  # one id short
+    with pytest.raises(CoresetError, match="means 14 ids, the file holds 13"):
+        load_coreset(path)
+    path.write_text("".join(lines) + "19\n")  # one id too many
+    with pytest.raises(CoresetError, match="the file holds 15"):
+        load_coreset(path)
+    for rho in ("abc", "nan", "1.5", "0"):
+        path.write_text(f"# n=20 rho={rho} runs=a,b\n" + "".join(lines[1:]))
+        with pytest.raises(CoresetError, match="bad rho"):
+            load_coreset(path)
+    path.write_text("# hand-made\n3\n1\n")  # no save_coreset header: any length
+    assert load_coreset(path, n=20) == [3, 1]

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scanprune import (
     GenSpec,
@@ -29,6 +30,7 @@ from scanprune.trainer import (
     TrainingDivergedError,
     _apply_sgd,
     _fit_probe,
+    _pairwise_sum,
     init_params,
     read_metrics,
     write_metrics,
@@ -377,6 +379,42 @@ def test_fit_probe_bit_identical_to_reference():
     for params in (trained, init_params(ds.dim, 4, seed=3)):
         for probe_seed in (0, 1):
             assert linear_probe(params, ds, probe_seed) == _reference_probe(params, ds, probe_seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 10), n_cls=st.integers(2, 20),
+       gap=st.none() | st.integers(0, 19), seed=st.integers(0, 2**32 - 1))
+@example(n=300, d=3, n_cls=129, gap=None, seed=1)  # > 128 classes: the pairwise recursion
+@example(n=200, d=8, n_cls=130, gap=7, seed=2)
+def test_fit_probe_bit_identical_to_reference_on_any_shape(n, d, n_cls, gap, seed):
+    rng = np.random.default_rng(seed)
+    x_tr = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0)
+    y_tr = rng.integers(0, n_cls, n)
+    if gap is not None:  # class ``gap`` never occurs, yet gets a row of w
+        y_tr[y_tr == gap % n_cls] = (gap + 1) % n_cls
+    w, bias = _fit_probe(x_tr, y_tr, n_cls)
+    w_ref, bias_ref = _reference_fit_probe(x_tr, y_tr, n_cls)
+    assert w.tobytes() == w_ref.tobytes() and bias.tobytes() == bias_ref.tobytes()
+
+
+def test_pairwise_sum_follows_numpys_summation_order():
+    # _fit_probe's softmax denominator replays NumPy's pairwise_sum over the
+    # class rows; a NumPy that sums a contiguous row in another order fails here
+    rng = np.random.default_rng(0)
+    for c in range(1, 301):
+        a = rng.standard_normal((7, c)) * np.exp(rng.uniform(-8, 8, (7, c)))
+        got = _pairwise_sum(np.ascontiguousarray(a.T), np.empty(7), np.empty((8, 7)))
+        assert got.tobytes() == np.add.reduce(a, axis=1).tobytes(), c
+
+
+def test_einsum_column_sum_adds_rows_in_order():
+    # _fit_probe's bias sum: einsum("ij->j") must add the rows in the order
+    # g.sum(axis=0) does, for every class count a probe can have
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 9, 130, 1000):
+        for c in range(2, 40):
+            a = rng.standard_normal((n, c)) * np.exp(rng.uniform(-8, 8, (n, c)))
+            assert np.einsum("ij->j", a).tobytes() == np.add.reduce(a, axis=0).tobytes(), (n, c)
 
 
 def test_linear_probe_single_class_errors():

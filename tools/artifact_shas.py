@@ -1,0 +1,165 @@
+"""SHA-256 of every artifact a "same behaviour" check compares.
+
+    python3 tools/artifact_shas.py --src src --out shas.json
+
+imports ``scanprune`` from ``--src`` and writes one JSON object mapping an
+artifact name to its SHA-256, so a before/after check is two runs (one per
+checkout) and a ``diff`` of the two files.  It covers:
+
+- the criterion-9 config (n=2000, dim=128, seed-7 linear towers) under
+  ``train_scan``, ``train_full``, ``train_random_baseline``,
+  ``train_static_coreset`` and ``train_scan`` in view_pair mode: checkpoint,
+  metrics without ``wall_ms``, exclusions, candidate history, batch counts and
+  the ``linear_probe`` accuracy at probe seeds 0 and 1, plus the
+  ``export_coreset`` ids that feed the static run;
+- ``_fit_probe``'s ``(w, bias)`` at the cli-pipeline shape (16000 x 8, 8
+  classes);
+- one CLI run per ``--method`` (and view_pair and an MLP run) on a 600 x 16
+  corpus: the corpus, every artifact each manifest lists (``metrics.jsonl``
+  without ``wall_ms``), the ``export-coreset`` file, the ``scan compare
+  --data`` rows without ``wall_ms`` and the ``scan schedule`` table.
+
+The CLI runs in a temporary directory with relative paths, so manifests and
+the coreset header are the same bytes in every checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _records_bytes(records) -> bytes:
+    return json.dumps([dict(dataclasses.asdict(r), wall_ms=0.0) for r in records]).encode()
+
+
+def library_shas(sp, tmp: Path) -> dict[str, str]:
+    from scanprune import trainer
+
+    ds = sp.generate_paired_dataset(sp.GenSpec(n=2000, dim=128, num_classes=8, mismatch_frac=0.1,
+                                               duplicate_frac=0.1, noise_sigma=0.1, seed=1))
+    cfg = sp.TrainConfig(rho=0.3, tau_cos=3, tau_stop=12, t_td=1.0, batch_size=128, lr=0.5,
+                         out_dim=8, seed=7)
+    out = {}
+
+    def record(name, res):
+        sp.save_checkpoint(res.params, tmp / "lib.bin")
+        out[f"lib/{name}/checkpoint"] = _sha((tmp / "lib.bin").read_bytes())
+        out[f"lib/{name}/metrics"] = _sha(_records_bytes(res.records))
+        out[f"lib/{name}/exclusions"] = _sha(json.dumps(sorted(res.exclusions.items())).encode())
+        out[f"lib/{name}/candidates"] = _sha(b"".join(
+            c.ids.tobytes() + c.redundant.tobytes() + c.scores.tobytes() + str(c.built_at_epoch).encode()
+            for c in res.candidate_history))
+        out[f"lib/{name}/batches"] = _sha(json.dumps([res.forward_passes, res.batches_per_epoch]).encode())
+        out[f"lib/{name}/probe_acc"] = _sha(json.dumps(
+            [sp.linear_probe(res.params, ds, seed) for seed in (0, 1)]).encode())
+
+    scan_a = sp.train_scan(ds, cfg)
+    scan_b = sp.train_scan(ds, dataclasses.replace(cfg, seed=8))
+    record("train_scan", scan_a)
+    record("train_full", sp.train_full(ds, cfg))
+    record("train_random_baseline", sp.train_random_baseline(ds, cfg))
+    record("train_scan_view_pair", sp.train_scan(ds, dataclasses.replace(cfg, mode=sp.Mode.VIEW_PAIR)))
+    summaries = [sp.PrunedSummary.from_candidates(name, res.candidate_history[-1], ds.n)
+                 for name, res in (("a", scan_a), ("b", scan_b))]
+    ids = sp.export_coreset(*summaries, 0.3)
+    out["lib/export_coreset/ids"] = _sha(json.dumps(ids).encode())
+    record("train_static_coreset", sp.train_static_coreset(ds, ids, cfg))
+
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    w, bias = trainer._fit_probe(rng.standard_normal((16000, 8)), rng.integers(0, 8, 16000), 8)
+    out["lib/_fit_probe/w_bias"] = _sha(w.tobytes() + bias.tobytes())
+    return out
+
+
+def _drop_wall_ms(table: str) -> str:
+    """``scan compare`` rows without their last column, ``wall_ms``."""
+    return "\n".join(line.rsplit(None, 1)[0] for line in table.splitlines() if line.strip())
+
+
+def cli_shas(main) -> dict[str, str]:
+    out = {}
+
+    def run(*argv) -> str:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(list(argv))
+        if code != 0:
+            raise SystemExit(f"scan {' '.join(argv)} exited {code}")
+        return buf.getvalue()
+
+    run("gen-data", "--n", "600", "--dim", "16", "--num-classes", "6", "--mismatch-frac", "0.1",
+        "--duplicate-frac", "0.1", "--noise-sigma", "0.1", "--seed", "5", "--out", "data.bin")
+    out["cli/data.bin"] = _sha(Path("data.bin").read_bytes())
+    common = ("--data", "data.bin", "--tau-stop", "10", "--t-td", "1.0", "--batch-size", "64",
+              "--out-dim", "8", "--lr", "0.3", "--rho", "0.3")
+    runs = {
+        "scan1": ("--method", "scan", "--seed", "1"),
+        "scan2": ("--method", "scan", "--seed", "2"),
+        "full": ("--method", "full", "--seed", "1"),
+        "random": ("--method", "random", "--seed", "1"),
+        "view_pair": ("--method", "random", "--mode", "view_pair", "--seed", "1"),
+        "mlp": ("--method", "scan", "--mlp", "--hidden-dim", "32", "--seed", "1"),
+    }
+    for name, flags in runs.items():
+        run("train", "--out", name, *common, *flags)
+    run("export-coreset", "--run-a", "scan1", "--run-b", "scan2", "--rho", "0.3", "--out", "coreset.txt")
+    out["cli/coreset.txt"] = _sha(Path("coreset.txt").read_bytes())
+    run("train", "--out", "static", *common, "--method", "static", "--coreset", "coreset.txt", "--seed", "1")
+    for name in (*runs, "static"):
+        manifest = json.loads(Path(name, "manifest.json").read_text())
+        out[f"cli/{name}/manifest.json"] = _sha(Path(name, "manifest.json").read_bytes())
+        for artifact in manifest["artifacts"]:
+            data = Path(name, artifact).read_bytes()
+            if artifact == "metrics.jsonl":
+                data = b"".join(json.dumps(dict(json.loads(line), wall_ms=0.0)).encode() + b"\n"
+                                for line in data.splitlines())
+            out[f"cli/{name}/{artifact}"] = _sha(data)
+    for seed in ("0", "1"):
+        table = run("compare", "--runs", ",".join((*runs, "static")), "--data", "data.bin",
+                    "--probe-seed", seed)
+        out[f"cli/compare/probe_seed{seed}"] = _sha(_drop_wall_ms(table).encode())
+    out["cli/schedule"] = _sha(run("schedule", "--tau-cos", "3", "--epochs", "8").encode())
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="directory holding the scanprune package")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    args = parser.parse_args()
+    out_path = Path(args.out).resolve()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import scanprune as sp
+    from scanprune.cli import main as cli_main
+
+    shas = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        shas.update(library_shas(sp, Path(tmp)))
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            shas.update(cli_shas(cli_main))
+        finally:
+            os.chdir(cwd)
+    out_path.write_text(json.dumps(dict(sorted(shas.items())), indent=1) + "\n")
+    print(f"{len(shas)} artifacts from {Path(sp.__file__).parent} -> {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
