@@ -70,6 +70,7 @@ def cmd_gen_data(args) -> int:
         seed=_default_seed() if args.seed is None else args.seed,
     )
     try:
+        spec.validate()
         ds = generate_paired_dataset(spec)
     except DatasetError as exc:
         raise CliError(EXIT_INVALID, f"invalid gen spec: {exc}") from exc

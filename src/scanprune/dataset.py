@@ -25,6 +25,7 @@ DUPLICATE = 2
 
 _MAGIC = b"SCND"
 _VERSION = 1
+_U32_MAX = 2**32 - 1  # n, dim and num_classes are u32 header fields
 _MAX_PROTO_DOT = 0.5
 
 
@@ -75,6 +76,8 @@ class GenSpec:
             raise ValidationError("noise_sigma must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        if max(self.n, self.dim, self.num_classes) > _U32_MAX:
+            raise ValidationError(f"n, dim and num_classes must be <= {_U32_MAX}, the header's u32 limit")
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,13 @@ The loss pass computes each axis's softmax statistics (max, shifted
 exponentials, their sum) once; the backward reuses those exponentials as the
 softmax, so one training step repeats no reduction over S.  Each tower's row
 norms are computed once, in the forward ``normalize_rows``, and reused as the
-backward divisor.  The backward builds G and the normalization and tanh
-gradients in place.  Reductions call the ufunc's ``reduce`` directly: it is the
-C loop ``np.max``/``np.sum`` end in, in the same order, without their Python
-wrapper.
+backward divisor.  The step keeps one ``(2, ...)`` buffer per quantity (the
+embeddings, their norms, the maxima and sums of both loss directions, the
+embedding gradients), so each elementwise stage is one NumPy call for both
+towers or both directions.  The backward builds G and the normalization and
+tanh gradients in place.  Reductions call the ufunc's ``reduce`` directly: it
+is the C loop ``np.max``/``np.sum`` end in, in the same order, without their
+Python wrapper.
 """
 
 from __future__ import annotations
@@ -60,28 +63,29 @@ def similarity_matrix(emb_f: np.ndarray, emb_g: np.ndarray, temp: float) -> np.n
     return (emb_f @ emb_g.T) / temp
 
 
-def _softmax_stats(S: np.ndarray, axis: int):
-    """Softmax statistics of ``S`` along ``axis``: ``(logsumexp, e, s)``.
+def _loss_stats(S: np.ndarray):
+    """LossTable of ``S`` plus its softmax statistics ``(e_row, e_col, Z)``.
 
-    ``e = exp(S - max)`` is a fresh array and ``s`` its keepdims sum, so the
-    softmax is ``e / s`` and the caller may divide ``e`` in place.
+    ``M`` holds the row maxima at ``[0]`` and the column maxima at ``[1]``;
+    ``e_row = exp(S - M[0][:, None])`` and ``e_col = exp(S - M[1])``, and
+    ``Z`` holds their row and column sums.  The softmaxes are ``e_row /
+    Z[0][:, None]`` and ``e_col / Z[1]``; both ``e`` arrays are fresh, so the
+    caller may divide them in place.
     """
-    if S.size == 0:
-        raise InfoNCEError("empty similarity matrix")
-    m = np.maximum.reduce(S, axis=axis, keepdims=True)
-    e = S - m
-    np.exp(e, out=e)
-    s = np.add.reduce(e, axis=axis, keepdims=True)
-    return (m + np.log(s)).squeeze(axis), e, s
-
-
-def _loss_pass(S: np.ndarray):
-    """LossTable of ``S`` plus the row and column ``(e, s)`` softmax statistics."""
-    diag = S.diagonal()
-    lse_row, e_row, s_row = _softmax_stats(S, axis=1)
-    lse_col, e_col, s_col = _softmax_stats(S, axis=0)
-    table = LossTable(fg=lse_row - diag, gf=lse_col - diag)
-    return table, (e_row, s_row), (e_col, s_col)
+    M = np.empty((2, S.shape[0]))
+    Z = np.empty_like(M)
+    np.maximum.reduce(S, axis=1, out=M[0])
+    np.maximum.reduce(S, axis=0, out=M[1])
+    e_row = S - M[0][:, None]
+    e_col = S - M[1]
+    np.exp(e_row, out=e_row)
+    np.exp(e_col, out=e_col)
+    np.add.reduce(e_row, axis=1, out=Z[0])
+    np.add.reduce(e_col, axis=0, out=Z[1])
+    L = np.log(Z)
+    L += M
+    L -= S.diagonal()
+    return LossTable(fg=L[0], gf=L[1]), e_row, e_col, Z
 
 
 def per_sample_losses(S: np.ndarray) -> LossTable:
@@ -95,28 +99,13 @@ def per_sample_losses(S: np.ndarray) -> LossTable:
     if S.shape[0] == 0:
         empty = np.zeros(0)
         return LossTable(fg=empty, gf=empty.copy())
-    return _loss_pass(S)[0]
+    return _loss_stats(S)[0]
 
 
 def batch_loss(table: LossTable) -> float:
     if len(table) == 0:
         raise InfoNCEError("empty loss table")
     return float((np.mean(table.fg) + np.mean(table.gf)) / 2.0)
-
-
-def _backprop_normalize(d_emb: np.ndarray, emb: np.ndarray, safe: np.ndarray, zero_rows: np.ndarray) -> np.ndarray:
-    """Pull gradients back through row-wise L2 normalization, in place in ``d_emb``.
-
-    ``safe`` is the divisor ``normalize_rows`` returned with ``emb``.
-    """
-    t = d_emb * emb
-    inner = np.add.reduce(t, axis=1, keepdims=True)
-    np.multiply(emb, inner, out=t)
-    d_emb -= t
-    d_emb /= safe[:, None]
-    if np.count_nonzero(zero_rows):
-        d_emb[zero_rows] = 0.0
-    return d_emb
 
 
 def _backprop_tanh(dz: np.ndarray, w_out: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -138,35 +127,50 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray):
     if batch_a.shape != batch_b.shape:
         raise InfoNCEError("view batches must have identical shape")
     b = batch_a.shape[0]
+    if b == 0:
+        raise InfoNCEError("empty batch")
 
+    # One (2, ...) buffer per quantity, tower F at [0] and G at [1], so each
+    # elementwise stage below is one call over both towers.
     z_f, h_f = forward_tower(params, Tower.F, batch_a)
     z_g, h_g = forward_tower(params, Tower.G, batch_b)
-    e_f, zero_f, safe_f = normalize_rows(z_f)
-    e_g, zero_g, safe_g = normalize_rows(z_g)
+    E = np.empty((2,) + z_f.shape)
+    N = np.empty((2, b))
+    zero_f = normalize_rows(z_f, E[0], N[0])[1]
+    zero_g = normalize_rows(z_g, E[1], N[1])[1]
 
     temp = params.temp
-    S = e_f @ e_g.T
+    S = E[0] @ E[1].T
     S /= temp
-    table, (p_row, s_row), (p_col, s_col) = _loss_pass(S)
+    table, p_row, p_col, Z = _loss_stats(S)
 
     # d(batch_loss)/dS: softmax rows and columns, diagonal targets, mean of
     # both directional means halved.
-    p_row /= s_row
-    p_col /= s_col
+    p_row /= Z[0][:, None]
+    p_col /= Z[1]
     G = p_row
     G += p_col
-    G.flat[::b + 1] -= 2.0
+    G.reshape(-1)[::b + 1] -= 2.0
     G /= 2.0 * b
 
     # S scales as exp(-log_temp); G * S goes into p_col, free once G holds the sum
     d_log_temp = float(-np.add.reduce(np.multiply(G, S, out=p_col), axis=None))
 
-    d_ef = G @ e_g
-    d_ef /= temp
-    d_eg = G.T @ e_f
-    d_eg /= temp
-    dz_f = _backprop_normalize(d_ef, e_f, safe_f, zero_f)
-    dz_g = _backprop_normalize(d_eg, e_g, safe_g, zero_g)
+    # Back through the temperature and both towers' row normalizations:
+    # dz = (d - e * <d, e>) / norm, zero on the rows normalize_rows flagged.
+    D = np.empty_like(E)
+    np.matmul(G, E[1], out=D[0])
+    np.matmul(G.T, E[0], out=D[1])
+    D /= temp
+    T = D * E
+    inner = np.add.reduce(T, axis=2, keepdims=True)
+    np.multiply(E, inner, out=T)
+    D -= T
+    D /= N[:, :, None]
+    for dz, zero_rows in ((D[0], zero_f), (D[1], zero_g)):
+        if np.count_nonzero(zero_rows):
+            dz[zero_rows] = 0.0
+    dz_f, dz_g = D
 
     if params.is_mlp:
         g_wf = dz_f.T @ h_f

@@ -114,5 +114,7 @@ def round_phase(state: ScheduleState) -> Phase:
 
 def phase_table(tau_cos: int, epochs: int):
     """Post-warm-up phase sequence for ``epochs`` epochs starting at a Prepare."""
+    if epochs < 0:
+        raise SchedulerError("epochs must be >= 0")
     state = ScheduleState(tau_cos, tau_cos + 1, t_td=0.0, warmup_done=True, warmup_end=0)
     return [(e, round_phase(replace(state, tau_cur=e))) for e in range(epochs)]

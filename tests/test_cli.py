@@ -136,6 +136,26 @@ def test_invalid_config_exit_4(data_file, tmp_path):
     assert main(["schedule", "--tau-cos", "0", "--epochs", "4"]) == 4
 
 
+def test_gen_data_beyond_u32_header_exits_4_before_generating(tmp_path, monkeypatch, capsys):
+    def must_not_generate(spec):
+        pytest.fail("generate_paired_dataset called on an oversized spec")
+
+    monkeypatch.setattr("scanprune.cli.generate_paired_dataset", must_not_generate)
+    out = tmp_path / "x.bin"
+    assert main(["gen-data", "--n", "5000000000", "--dim", "4000", "--num-classes", "3",
+                 "--out", str(out)]) == 4
+    assert "u32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_schedule_negative_epochs_exit_4(capsys):
+    assert main(["schedule", "--tau-cos", "3", "--epochs", "-1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "epochs" in captured.err
+    assert main(["schedule", "--tau-cos", "3", "--epochs", "0"]) == 0
+    assert capsys.readouterr().out == "epoch,phase,rho_cur\n"
+
+
 def test_invalid_numbers_exit_4_before_training(data_file, tmp_path, capsys):
     cases = (["--epsilon", "0"], ["--lr", "nan"], ["--t-td", "inf"], ["--tau-cos", "0"],
              ["--mlp", "--hidden-dim", "0"])

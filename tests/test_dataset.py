@@ -115,6 +115,18 @@ def test_genspec_validation_errors(kw):
         generate_paired_dataset(_spec(**kw))
 
 
+@pytest.mark.parametrize("kw", [
+    dict(n=2**32),
+    dict(dim=2**32),
+    dict(n=2**32, num_classes=2**32),
+])
+def test_genspec_rejects_sizes_beyond_the_u32_header(kw):
+    # validate() allocates nothing, so the oversized specs cost nothing here
+    with pytest.raises(ValidationError, match="u32"):
+        _spec(**kw).validate()
+    _spec(**{k: 2**32 - 1 for k in kw}).validate()
+
+
 def test_roundtrip_bit_exact(tmp_path):
     ds = generate_paired_dataset(_spec())
     path = tmp_path / "d.bin"

@@ -115,6 +115,25 @@ def test_normalize_rows_divisor_is_the_row_norm_bit_for_bit():
             assert emb.tobytes() == (z / divisor[:, None]).tobytes()
 
 
+def test_normalize_rows_into_given_buffers_matches_allocating_call():
+    rng = np.random.default_rng(4)
+    for shape in ((1, 1), (7, 3), (64, 8), (150, 9)):
+        z = rng.standard_normal(shape)
+        z[::4] = 0.0
+        z0 = z.copy()
+        want_emb, want_zero, want_norms = normalize_rows(z)
+        E = np.full((2,) + shape, np.nan)
+        N = np.full((2, shape[0]), np.nan)
+        out, out_norms = E[1], N[1]
+        emb, zero_rows, norms = normalize_rows(z, out, out_norms)
+        assert emb is out and norms is out_norms
+        assert emb.tobytes() == want_emb.tobytes()
+        assert norms.tobytes() == want_norms.tobytes()
+        assert np.array_equal(zero_rows, want_zero)
+        assert np.isnan(E[0]).all() and np.isnan(N[0]).all()
+        assert z.tobytes() == z0.tobytes()
+
+
 def test_mlp_hidden_activations_are_tanh_exactly():
     p = init_params(16, 4, seed=3, mlp=True, hidden_dim=32)
     x = np.random.default_rng(5).standard_normal((12, 16))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scanprune import (
     EncoderParams,
@@ -13,7 +14,7 @@ from scanprune import (
     per_sample_losses,
     similarity_matrix,
 )
-from scanprune.encoder import forward_tower, normalize_rows
+from scanprune.encoder import LOG_TEMP_MAX, LOG_TEMP_MIN, forward_tower, normalize_rows
 from scanprune.infonce import InfoNCEError
 
 
@@ -258,6 +259,39 @@ def test_gradients_bit_identical_to_reference(mlp, n, dim, out_dim, hidden):
         for name in names:
             assert np.array_equal(getattr(p, name), getattr(p0, name)), name
         assert p.log_temp == p0.log_temp
+
+
+@st.composite
+def _step_cases(draw):
+    b = draw(st.integers(1, 150))
+    zeroed = st.lists(st.integers(0, b - 1), max_size=3)
+    return dict(b=b, dim=draw(st.integers(1, 40)), out_dim=draw(st.integers(1, 16)),
+                hidden=draw(st.one_of(st.none(), st.integers(1, 64))),
+                log_temp=draw(st.floats(LOG_TEMP_MIN, LOG_TEMP_MAX)),
+                zero_a=draw(zeroed), zero_b=draw(zeroed), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_step_cases())
+def test_gradients_bit_identical_to_reference_over_shapes(case):
+    # b crosses the 8- and 128-element blocks of NumPy's pairwise row and
+    # column sums; out_dim crosses 8 for the norm sums.
+    mlp = case["hidden"] is not None
+    p = init_params(case["dim"], case["out_dim"], seed=case["seed"], mlp=mlp, hidden_dim=case["hidden"])
+    p.log_temp = case["log_temp"]
+    rng = np.random.default_rng(case["seed"])
+    a = rng.standard_normal((case["b"], case["dim"]))
+    b = rng.standard_normal((case["b"], case["dim"]))
+    a[case["zero_a"]] = 0.0
+    b[case["zero_b"]] = 0.0
+
+    grads, table = gradients(p, a, b)
+    _, want = _reference_gradients(p, a, b)
+
+    for name in ["w_f", "w_g"] + (["w_f_hidden", "w_g_hidden"] if mlp else []):
+        assert getattr(grads, name).tobytes() == want[name].tobytes(), name
+    assert grads.log_temp == want["log_temp"]
+    assert table.fg.tobytes() == want["fg"].tobytes() and table.gf.tobytes() == want["gf"].tobytes()
 
 
 def test_gradients_empty_batch_errors():

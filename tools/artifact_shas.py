@@ -14,6 +14,10 @@ checkout) and a ``diff`` of the two files.  It covers:
   ``export_coreset`` ids that feed the static run;
 - ``_fit_probe``'s ``(w, bias)`` at the cli-pipeline shape (16000 x 8, 8
   classes);
+- ``train_scan`` at two benchmark workloads' step shapes, with the same
+  artifacts as above: linear-wide's linear towers (dim 32, batch 64, out 8;
+  n=4000, 6 epochs) and probe-mlp's MLP (dim 128, hidden 1024, out 2, batch
+  128; n=512, 4 epochs);
 - one CLI run per ``--method`` (and view_pair and an MLP run) on a 600 x 16
   corpus: the corpus, every artifact each manifest lists (``metrics.jsonl``
   without ``wall_ms``), the ``export-coreset`` file, the ``scan compare
@@ -45,26 +49,36 @@ def _records_bytes(records) -> bytes:
     return json.dumps([dict(dataclasses.asdict(r), wall_ms=0.0) for r in records]).encode()
 
 
+def _corpus(sp, n: int, dim: int):
+    return sp.generate_paired_dataset(sp.GenSpec(n=n, dim=dim, num_classes=8, mismatch_frac=0.1,
+                                                 duplicate_frac=0.1, noise_sigma=0.1, seed=1))
+
+
+def _run_shas(sp, tmp: Path, name: str, res, ds) -> dict[str, str]:
+    sp.save_checkpoint(res.params, tmp / "lib.bin")
+    return {
+        f"lib/{name}/checkpoint": _sha((tmp / "lib.bin").read_bytes()),
+        f"lib/{name}/metrics": _sha(_records_bytes(res.records)),
+        f"lib/{name}/exclusions": _sha(json.dumps(sorted(res.exclusions.items())).encode()),
+        f"lib/{name}/candidates": _sha(b"".join(
+            c.ids.tobytes() + c.redundant.tobytes() + c.scores.tobytes() + str(c.built_at_epoch).encode()
+            for c in res.candidate_history)),
+        f"lib/{name}/batches": _sha(json.dumps([res.forward_passes, res.batches_per_epoch]).encode()),
+        f"lib/{name}/probe_acc": _sha(json.dumps(
+            [sp.linear_probe(res.params, ds, seed) for seed in (0, 1)]).encode()),
+    }
+
+
 def library_shas(sp, tmp: Path) -> dict[str, str]:
     from scanprune import trainer
 
-    ds = sp.generate_paired_dataset(sp.GenSpec(n=2000, dim=128, num_classes=8, mismatch_frac=0.1,
-                                               duplicate_frac=0.1, noise_sigma=0.1, seed=1))
+    ds = _corpus(sp, 2000, 128)
     cfg = sp.TrainConfig(rho=0.3, tau_cos=3, tau_stop=12, t_td=1.0, batch_size=128, lr=0.5,
                          out_dim=8, seed=7)
     out = {}
 
     def record(name, res):
-        sp.save_checkpoint(res.params, tmp / "lib.bin")
-        out[f"lib/{name}/checkpoint"] = _sha((tmp / "lib.bin").read_bytes())
-        out[f"lib/{name}/metrics"] = _sha(_records_bytes(res.records))
-        out[f"lib/{name}/exclusions"] = _sha(json.dumps(sorted(res.exclusions.items())).encode())
-        out[f"lib/{name}/candidates"] = _sha(b"".join(
-            c.ids.tobytes() + c.redundant.tobytes() + c.scores.tobytes() + str(c.built_at_epoch).encode()
-            for c in res.candidate_history))
-        out[f"lib/{name}/batches"] = _sha(json.dumps([res.forward_passes, res.batches_per_epoch]).encode())
-        out[f"lib/{name}/probe_acc"] = _sha(json.dumps(
-            [sp.linear_probe(res.params, ds, seed) for seed in (0, 1)]).encode())
+        out.update(_run_shas(sp, tmp, name, res, ds))
 
     scan_a = sp.train_scan(ds, cfg)
     scan_b = sp.train_scan(ds, dataclasses.replace(cfg, seed=8))
@@ -83,6 +97,19 @@ def library_shas(sp, tmp: Path) -> dict[str, str]:
     rng = np.random.default_rng(0)
     w, bias = trainer._fit_probe(rng.standard_normal((16000, 8)), rng.integers(0, 8, 16000), 8)
     out["lib/_fit_probe/w_bias"] = _sha(w.tobytes() + bias.tobytes())
+    return out
+
+
+def bench_shape_shas(sp, tmp: Path) -> dict[str, str]:
+    """``train_scan`` at linear-wide's and probe-mlp's step shapes."""
+    out = {}
+    ds = _corpus(sp, 4000, 32)
+    cfg = sp.TrainConfig(rho=0.3, tau_cos=3, tau_stop=6, t_td=1.0, batch_size=64, out_dim=8, seed=3)
+    out.update(_run_shas(sp, tmp, "linear_wide_shape/train_scan", sp.train_scan(ds, cfg), ds))
+    ds = _corpus(sp, 512, 128)
+    cfg = sp.TrainConfig(rho=0.3, tau_cos=3, tau_stop=4, t_td=1.0, batch_size=128, lr=0.5, out_dim=2,
+                         mlp=True, hidden_dim=1024, seed=3)
+    out.update(_run_shas(sp, tmp, "probe_mlp_shape/train_scan", sp.train_scan(ds, cfg), ds))
     return out
 
 
@@ -150,6 +177,7 @@ def main() -> int:
     shas = {}
     with tempfile.TemporaryDirectory() as tmp:
         shas.update(library_shas(sp, Path(tmp)))
+        shas.update(bench_shape_shas(sp, Path(tmp)))
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
