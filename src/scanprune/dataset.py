@@ -103,12 +103,16 @@ class PairedDataset:
             raise ValidationError("view_a and view_b must have identical shape")
         if self.view_a.ndim != 2:
             raise ValidationError("views must be n x dim matrices")
+        if self.dim < 1:
+            raise ValidationError("dim must be >= 1")
         if not (np.isfinite(self.view_a).all() and np.isfinite(self.view_b).all()):
             raise ValidationError("views must be finite")
         if self.labels.shape != (self.n,) or self.corruption.shape != (self.n,):
             raise ValidationError("labels and corruption must have length n")
         if self.labels.size and int(self.labels.max()) >= self.num_classes:
             raise ValidationError("labels must be < num_classes")
+        if self.corruption.size and int(self.corruption.max()) > DUPLICATE:
+            raise ValidationError("corruption flags must be 0 (clean), 1 (mismatched) or 2 (duplicate)")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairedDataset):

@@ -32,6 +32,9 @@ def _log_bound(limit: float, toward: float) -> float:
 LOG_TEMP_MIN = _log_bound(TEMP_MIN, math.inf)
 LOG_TEMP_MAX = _log_bound(TEMP_MAX, -math.inf)
 INIT_TEMP = 1.0 / 0.07
+# The weight matrices a model can have, in the order ``init_params`` draws
+# them and a checkpoint stores them; the linear model has no hidden layers.
+WEIGHTS = ("w_f_hidden", "w_f", "w_g_hidden", "w_g")
 
 
 class EncoderError(Exception):
@@ -77,14 +80,23 @@ class EncoderParams:
     def clamp_temp(self) -> None:
         self.log_temp = min(max(self.log_temp, LOG_TEMP_MIN), LOG_TEMP_MAX)
 
+    def weights(self):
+        """``(name, matrix)`` of each weight matrix the model has, in ``WEIGHTS`` order."""
+        for name in WEIGHTS:
+            w = getattr(self, name)
+            if w is not None:
+                yield name, w
+
     def copy(self) -> "EncoderParams":
-        return replace(
-            self,
-            w_f=self.w_f.copy(),
-            w_g=self.w_g.copy(),
-            w_f_hidden=None if self.w_f_hidden is None else self.w_f_hidden.copy(),
-            w_g_hidden=None if self.w_g_hidden is None else self.w_g_hidden.copy(),
-        )
+        return replace(self, **{name: w.copy() for name, w in self.weights()})
+
+
+def weight_shapes(dim: int, out_dim: int, hidden: int) -> list[tuple[str, tuple[int, int]]]:
+    """``(name, (rows, cols))`` of each weight matrix, in ``WEIGHTS`` order;
+    ``hidden`` 0 is the linear model, whose output layers act on the input."""
+    hidden_layer, out_layer = (hidden, dim), (out_dim, hidden or dim)
+    return [(name, hidden_layer if name.endswith("_hidden") else out_layer)
+            for name in WEIGHTS if hidden or not name.endswith("_hidden")]
 
 
 def init_params(
@@ -100,24 +112,15 @@ def init_params(
     """
     if dim < 1 or out_dim < 1:
         raise EncoderError("dim and out_dim must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    bound = 1.0 / math.sqrt(dim)
-    log_temp = math.log(INIT_TEMP)
-    if not mlp:
-        w_f = rng.uniform(-bound, bound, size=(out_dim, dim))
-        w_g = rng.uniform(-bound, bound, size=(out_dim, dim))
-        return EncoderParams(w_f=w_f, w_g=w_g, log_temp=log_temp)
-    hidden = hidden_dim if hidden_dim is not None else dim
-    if hidden < 1:
+    hidden = (hidden_dim if hidden_dim is not None else dim) if mlp else 0
+    if mlp and hidden < 1:
         raise EncoderError("hidden_dim must be >= 1")
-    hbound = 1.0 / math.sqrt(hidden)
-    w_f_hidden = rng.uniform(-bound, bound, size=(hidden, dim))
-    w_f = rng.uniform(-hbound, hbound, size=(out_dim, hidden))
-    w_g_hidden = rng.uniform(-bound, bound, size=(hidden, dim))
-    w_g = rng.uniform(-hbound, hbound, size=(out_dim, hidden))
-    return EncoderParams(
-        w_f=w_f, w_g=w_g, log_temp=log_temp, w_f_hidden=w_f_hidden, w_g_hidden=w_g_hidden
-    )
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights = {}
+    for name, (rows, cols) in weight_shapes(dim, out_dim, hidden):
+        bound = 1.0 / math.sqrt(cols)
+        weights[name] = rng.uniform(-bound, bound, size=(rows, cols))
+    return EncoderParams(log_temp=math.log(INIT_TEMP), **weights)
 
 
 def _tower_weights(params: EncoderParams, tower: Tower):

@@ -43,15 +43,6 @@ class LossTable:
         return self.fg.shape[0]
 
 
-@dataclass
-class Gradients:
-    w_f: np.ndarray
-    w_g: np.ndarray
-    log_temp: float
-    w_f_hidden: np.ndarray | None = None
-    w_g_hidden: np.ndarray | None = None
-
-
 def similarity_matrix(emb_f: np.ndarray, emb_g: np.ndarray, temp: float) -> np.ndarray:
     """Pairwise dot products divided by the temperature."""
     emb_f = np.asarray(emb_f, dtype=np.float64)
@@ -120,7 +111,9 @@ def _backprop_tanh(dz: np.ndarray, w_out: np.ndarray, h: np.ndarray) -> np.ndarr
 def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray):
     """Analytic gradients of the batch loss plus the per-sample LossTable.
 
-    One forward pass serves both training and pruning-metric extraction.
+    The gradients are an ``EncoderParams`` shaped like ``params``, each field
+    the derivative by that parameter.  One forward pass serves both training
+    and pruning-metric extraction.
     """
     batch_a = np.asarray(batch_a, dtype=np.float64)
     batch_b = np.asarray(batch_b, dtype=np.float64)
@@ -177,8 +170,6 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray):
         g_wf_hidden = _backprop_tanh(dz_f, params.w_f, h_f).T @ batch_a
         g_wg = dz_g.T @ h_g
         g_wg_hidden = _backprop_tanh(dz_g, params.w_g, h_g).T @ batch_b
-        grads = Gradients(w_f=g_wf, w_g=g_wg, log_temp=d_log_temp,
-                          w_f_hidden=g_wf_hidden, w_g_hidden=g_wg_hidden)
-    else:
-        grads = Gradients(w_f=dz_f.T @ batch_a, w_g=dz_g.T @ batch_b, log_temp=d_log_temp)
-    return grads, table
+        return EncoderParams(w_f=g_wf, w_g=g_wg, log_temp=d_log_temp,
+                             w_f_hidden=g_wf_hidden, w_g_hidden=g_wg_hidden), table
+    return EncoderParams(w_f=dz_f.T @ batch_a, w_g=dz_g.T @ batch_b, log_temp=d_log_temp), table

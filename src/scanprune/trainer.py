@@ -20,7 +20,7 @@ import numpy as np
 
 from scanprune import blas
 from scanprune.dataset import PairedDataset
-from scanprune.encoder import EncoderParams, Tower, encode, init_params
+from scanprune.encoder import EncoderParams, Tower, encode, init_params, weight_shapes
 from scanprune.infonce import gradients
 from scanprune.pruner import CandidateSet, accumulate, active_indices, batch_candidates, sample_pruned
 from scanprune.scheduler import PhaseKind, ScheduleState, round_phase
@@ -133,13 +133,11 @@ def _views(ds: PairedDataset, cfg: TrainConfig):
     return a, b
 
 
-def _apply_sgd(params: EncoderParams, grads, lr: float) -> None:
+def _apply_sgd(params: EncoderParams, grads: EncoderParams, lr: float) -> None:
     """One SGD step in place; consumes ``grads`` by scaling its arrays by ``lr``."""
-    names = ("w_f", "w_g", "w_f_hidden", "w_g_hidden") if params.is_mlp else ("w_f", "w_g")
-    for name in names:
+    for name, w in params.weights():
         g = getattr(grads, name)
         g *= lr
-        w = getattr(params, name)
         w -= g
     params.log_temp -= lr * grads.log_temp
     params.clamp_temp()
@@ -383,22 +381,24 @@ def _pairwise_sum(a: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarra
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:
-    """Binary dump: magic SCNP, version, layout dims, f64 LE weights, log_temp."""
+    """Binary dump: magic SCNP, version, layout dims, f64 LE weights in
+    ``encoder.WEIGHTS`` order, log_temp."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         hidden = params.w_f_hidden.shape[0] if params.is_mlp else 0
         fh.write(struct.pack("<IIIII", CHECKPOINT_VERSION, int(params.is_mlp),
                              params.dim, hidden, params.out_dim))
-        if params.is_mlp:
-            fh.write(np.ascontiguousarray(params.w_f_hidden, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.w_f, dtype="<f8").tobytes())
-        if params.is_mlp:
-            fh.write(np.ascontiguousarray(params.w_g_hidden, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(params.w_g, dtype="<f8").tobytes())
+        for _, w in params.weights():
+            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
         fh.write(struct.pack("<d", params.log_temp))
 
 
 def load_checkpoint(path) -> EncoderParams:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A header that declares no model ``init_params`` can make, or a file whose
+    size differs from what the header declares, raises CheckpointError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -409,23 +409,21 @@ def load_checkpoint(path) -> EncoderParams:
         version, is_mlp, dim, hidden, out_dim = struct.unpack("<IIIII", header)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported version {version}")
+        if is_mlp not in (0, 1) or dim < 1 or out_dim < 1 or bool(hidden) != bool(is_mlp):
+            raise CheckpointError(f"header declares no model: is_mlp={is_mlp} dim={dim} "
+                                  f"hidden={hidden} out_dim={out_dim}")
         # Check the declared sizes before reading, so a corrupt header cannot
         # ask for an impossible allocation.
-        in_out = hidden if is_mlp else dim
-        weights = 2 * (out_dim * in_out + (hidden * dim if is_mlp else 0))
-        if 8 * (weights + 1) > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise CheckpointError(f"truncated: the header declares {weights} weights")
-
-        def read_mat(rows, cols):
-            return np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
-
-        w_f_hidden = read_mat(hidden, dim) if is_mlp else None
-        w_f = read_mat(out_dim, in_out)
-        w_g_hidden = read_mat(hidden, dim) if is_mlp else None
-        w_g = read_mat(out_dim, in_out)
+        shapes = weight_shapes(dim, out_dim, hidden)
+        size = 8 * (sum(rows * cols for _, (rows, cols) in shapes) + 1)  # the weights and log_temp
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != left:
+            raise CheckpointError(f"{'truncated' if size > left else 'overlong'}: the header "
+                                  f"declares {size} bytes after it, the file has {left}")
+        mats = {name: np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
+                for name, (rows, cols) in shapes}
         (log_temp,) = struct.unpack("<d", fh.read(8))
-    return EncoderParams(w_f=w_f, w_g=w_g, log_temp=log_temp,
-                         w_f_hidden=w_f_hidden, w_g_hidden=w_g_hidden)
+    return EncoderParams(log_temp=log_temp, **mats)
 
 
 def write_metrics(records, path) -> None:

@@ -282,6 +282,36 @@ def test_oversized_dataset_header_exit_4(data_file, tmp_path, capsys):
     assert _train(huge, tmp_path / "run2") == 4
 
 
+def test_dataset_with_zero_dim_or_unknown_flag_exit_4(data_file, tmp_path, capsys):
+    raw = data_file.read_bytes()
+    zero_dim = tmp_path / "zero_dim.bin"  # n=64, dim=0: no views, then labels and flags
+    zero_dim.write_bytes(raw[:12] + struct.pack("<I", 0) + raw[16:20] + raw[-5 * 64:])
+    bad_flag = tmp_path / "bad_flag.bin"
+    bad_flag.write_bytes(raw[:-1] + bytes([3]))
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    for bad in (zero_dim, bad_flag):
+        capsys.readouterr()
+        assert _train(bad, tmp_path / "run2") == 4, bad
+        assert "bad dataset file" in capsys.readouterr().err
+        assert not (tmp_path / "run2").exists()
+        assert main(["compare", "--runs", str(run), "--data", str(bad)]) == 4, bad
+        assert "bad dataset file" in capsys.readouterr().err
+
+
+def test_compare_checkpoint_header_of_no_model_exit_4(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    ckpt = run / "checkpoint.bin"
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:20] + struct.pack("<I", 0) + raw[24:])  # out_dim=0
+    capsys.readouterr()
+    assert main(["compare", "--runs", str(run), "--data", str(data_file)]) == 4
+    captured = capsys.readouterr()
+    assert "cannot probe" in captured.err and "no model" in captured.err
+    assert captured.out == ""
+
+
 def test_export_coreset_rejects_bad_candidates(data_file, tmp_path, capsys):
     ra, rb = tmp_path / "ra", tmp_path / "rb"
     assert _train(data_file, ra, "--seed", "1") == 0

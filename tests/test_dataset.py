@@ -197,6 +197,21 @@ def test_declared_sizes_checked_before_reading(tmp_path):
         load_dataset(cut)
 
 
+def test_load_rejects_zero_dim_and_unknown_corruption_flags(tmp_path):
+    path = tmp_path / "d.bin"
+    save_dataset(generate_paired_dataset(_spec()), path)
+    raw = path.read_bytes()
+    zero_dim = tmp_path / "zero_dim.bin"  # n=100, dim=0: no views, then labels and flags
+    zero_dim.write_bytes(raw[:12] + struct.pack("<I", 0) + raw[16:20] + raw[-5 * 100:])
+    with pytest.raises(ValidationError, match="dim must be >= 1"):
+        load_dataset(zero_dim)
+    for flag in (3, 255):
+        bad = tmp_path / f"flag_{flag}.bin"
+        bad.write_bytes(raw[:-1] + bytes([flag]))
+        with pytest.raises(ValidationError, match="corruption flags"):
+            load_dataset(bad)
+
+
 def _reference_generate(spec: GenSpec) -> PairedDataset:
     """The per-row generator the batched one replaced; it must match byte for byte."""
     spec.validate()

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -273,6 +274,39 @@ def test_checkpoint_declared_sizes_checked_before_reading(tmp_path):
     short.write_bytes(raw[:-1])  # one byte short of log_temp
     with pytest.raises(CheckpointError):
         load_checkpoint(short)
+
+
+def test_checkpoint_header_init_params_cannot_make_is_rejected(tmp_path):
+    # a header init_params cannot produce, on a file long enough for it
+    linear = tmp_path / "linear.bin"
+    save_checkpoint(init_params(4, 2, seed=0), linear)
+    mlp = tmp_path / "mlp.bin"
+    save_checkpoint(init_params(4, 2, seed=0, mlp=True, hidden_dim=3), mlp)
+    for src, fields in ((mlp, (9, 4, 3, 2)), (linear, (2, 4, 0, 2)),  # is_mlp, dim, hidden, out_dim
+                        (mlp, (1, 0, 3, 2)), (linear, (0, 0, 0, 2)),
+                        (mlp, (1, 4, 3, 0)), (linear, (0, 4, 0, 0)),
+                        (mlp, (1, 4, 0, 2)), (linear, (0, 4, 3, 2))):
+        raw = src.read_bytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw[:8] + struct.pack("<IIII", *fields) + raw[24:])
+        with pytest.raises(CheckpointError, match="no model"):
+            load_checkpoint(bad)
+    for src in (linear, mlp):
+        long = tmp_path / "long.bin"
+        long.write_bytes(src.read_bytes() + bytes(1))
+        with pytest.raises(CheckpointError, match="overlong"):
+            load_checkpoint(long)
+
+
+@pytest.mark.parametrize("dim, out_dim, seed, kw, sha", [
+    (8, 4, 3, {}, "1508311f14b06b129279188a4c2852fcaf90ef56a7db8570610e42ff1467a142"),
+    (6, 2, 5, dict(mlp=True, hidden_dim=5), "3841f54e5077aa0891290a004f0e3040cc8bdcdb5de45b77d60afa011f6a05d2"),
+], ids=["linear", "mlp"])
+def test_initial_checkpoint_bytes_are_pinned(tmp_path, dim, out_dim, seed, kw, sha):
+    # pins the draw order of init_params and the matrix order of the checkpoint
+    path = tmp_path / "ck.bin"
+    save_checkpoint(init_params(dim, out_dim, seed=seed, **kw), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 def test_read_metrics_rejects_malformed_records(tmp_path):
