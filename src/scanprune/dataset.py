@@ -49,6 +49,10 @@ class TruncatedFileError(DatasetError):
     """File ends before all declared payload bytes."""
 
 
+class OverlongFileError(DatasetError):
+    """File holds bytes after all declared payload bytes."""
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters for synthetic corpus generation."""
@@ -169,29 +173,32 @@ def generate_paired_dataset(spec: GenSpec) -> PairedDataset:
     # among the clean rows before i; dim normals for view A; for a mismatch,
     # the class of view B; dim normals for view B.  So the normals between two
     # integer draws are one contiguous stretch of ``z`` (rows, then views):
-    # each stretch is one standard_normal call, and only the corrupted rows
-    # step through Python.
+    # each stretch is one standard_normal call, and each corrupted row's cut
+    # into the stretches and integer bound are computed up front, so the loop
+    # holds only the two draws.
     z = np.empty((spec.n, 2, spec.dim))
     flat = z.reshape(-1)
     classes = np.repeat(labels[:, None], 2, axis=1)  # prototype row of each view
     clean_ids = np.flatnonzero(corruption == CLEAN)
     rows = np.flatnonzero(corruption)
-    dup_ids, dup_src = [], []
+    is_mm = corruption[rows] == MISMATCHED
+    cuts = (2 * rows + is_mm) * spec.dim
+    bounds = np.where(is_mm, spec.num_classes - 1, np.searchsorted(clean_ids, rows))
+    normal, integers = rng.standard_normal, rng.integers
+    draws = []
+    draw = draws.append
     pos = 0
-    for i, flag, label, n_clean in zip(rows.tolist(), corruption[rows].tolist(), labels[rows].tolist(),
-                                       np.searchsorted(clean_ids, rows).tolist()):
-        cut = (2 * i + (flag == MISMATCHED)) * spec.dim
-        rng.standard_normal(out=flat[pos:cut])
+    for cut, bound in zip(cuts.tolist(), bounds.tolist()):
+        normal(out=flat[pos:cut])
+        draw(integers(bound))
         pos = cut
-        if flag == DUPLICATE:
-            dup_ids.append(i)
-            dup_src.append(int(clean_ids[rng.integers(n_clean)]))
-        else:
-            other = int(rng.integers(spec.num_classes - 1))
-            if other >= label:
-                other += 1
-            classes[i, 1] = other
-    rng.standard_normal(out=flat[pos:])
+    normal(out=flat[pos:])
+    draws = np.array(draws, dtype=np.int64)
+    mm_ids, other = rows[is_mm], draws[is_mm]
+    other += other >= labels[mm_ids]  # skip the row's own class
+    classes[mm_ids, 1] = other
+    dup_ids = rows[~is_mm]
+    dup_src = clean_ids[draws[~is_mm]]
 
     # In place, with the arithmetic of ``proto + sigma * z`` (IEEE + commutes)
     # and ``source + 0.1 * sigma * z``; duplicates read only clean rows, so
@@ -227,10 +234,11 @@ def save_dataset(ds: PairedDataset, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, ds.n, ds.dim))
         fh.write(struct.pack("<I", ds.num_classes))
-        fh.write(np.ascontiguousarray(ds.view_a, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(ds.view_b, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(ds.corruption, dtype="u1").tobytes())
+        # Each array's buffer is written as it is, with no bytes copy.
+        fh.write(np.ascontiguousarray(ds.view_a, dtype="<f4"))
+        fh.write(np.ascontiguousarray(ds.view_b, dtype="<f4"))
+        fh.write(np.ascontiguousarray(ds.labels, dtype="<u4"))
+        fh.write(np.ascontiguousarray(ds.corruption, dtype="u1"))
 
 
 def _read_exact(fh, count: int) -> bytes:
@@ -238,6 +246,15 @@ def _read_exact(fh, count: int) -> bytes:
     if len(buf) != count:
         raise TruncatedFileError(f"expected {count} bytes, got {len(buf)}")
     return buf
+
+
+def _read_array(fh, shape, dtype) -> np.ndarray:
+    """The next ``shape`` x ``dtype`` values of ``fh``, read straight into their array."""
+    out = np.empty(shape, dtype=dtype)
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise TruncatedFileError(f"expected {out.nbytes} bytes, got {got}")
+    return out
 
 
 def load_dataset(path) -> PairedDataset:
@@ -257,16 +274,15 @@ def load_dataset(path) -> PairedDataset:
         if payload > left:
             raise TruncatedFileError(f"header declares n={n} dim={dim} ({payload} payload bytes), "
                                      f"file has {left}")
-        view_a = np.frombuffer(_read_exact(fh, 4 * n * dim), dtype="<f4").reshape(n, dim)
-        view_b = np.frombuffer(_read_exact(fh, 4 * n * dim), dtype="<f4").reshape(n, dim)
-        labels = np.frombuffer(_read_exact(fh, 4 * n), dtype="<u4")
-        corruption = np.frombuffer(_read_exact(fh, n), dtype="u1")
-    ds = PairedDataset(
-        view_a=view_a.copy(),
-        view_b=view_b.copy(),
-        labels=labels.copy(),
-        corruption=corruption.copy(),
-        num_classes=int(num_classes),
-    )
+        if payload < left:
+            raise OverlongFileError(f"overlong: header declares n={n} dim={dim} ({payload} payload "
+                                    f"bytes), file has {left}")
+        ds = PairedDataset(
+            view_a=_read_array(fh, (n, dim), "<f4"),
+            view_b=_read_array(fh, (n, dim), "<f4"),
+            labels=_read_array(fh, n, "<u4"),
+            corruption=_read_array(fh, n, "u1"),
+            num_classes=int(num_classes),
+        )
     ds.validate()
     return ds

@@ -81,6 +81,8 @@ class TrainConfig:
             raise TrainerError("out_dim must be >= 1")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise TrainerError("hidden_dim must be >= 1")
+        if self.hidden_dim is not None and not self.mlp:
+            raise TrainerError("hidden_dim is set but mlp is not: the linear model has no hidden layer")
         if self.seed < 0:
             raise TrainerError("seed must be >= 0")
 

@@ -1,4 +1,5 @@
 import json
+import random
 import struct
 import subprocess
 import sys
@@ -299,6 +300,32 @@ def test_dataset_with_zero_dim_or_unknown_flag_exit_4(data_file, tmp_path, capsy
         assert "bad dataset file" in capsys.readouterr().err
 
 
+def test_dataset_with_trailing_bytes_exit_4(data_file, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    long = tmp_path / "long.bin"
+    long.write_bytes(data_file.read_bytes() + bytes(40))
+    capsys.readouterr()
+    assert _train(long, tmp_path / "run2") == 4
+    err = capsys.readouterr().err
+    assert "bad dataset file" in err and "overlong" in err
+    assert not (tmp_path / "run2").exists()
+    assert main(["compare", "--runs", str(run), "--data", str(long)]) == 4
+    assert "overlong" in capsys.readouterr().err
+
+
+def test_hidden_dim_without_mlp_exit_4(data_file, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("hidden_dim = 64\n")
+    for i, extra in enumerate((["--hidden-dim", "64"], ["--config", str(cfg)])):
+        out = tmp_path / f"run{i}"
+        assert _train(data_file, out, *extra) == 4, extra
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "hidden_dim" in err and "mlp" in err, extra
+        assert not out.exists()
+    assert _train(data_file, tmp_path / "mlp", "--config", str(cfg), "--mlp") == 0
+
+
 def test_compare_checkpoint_header_of_no_model_exit_4(data_file, tmp_path, capsys):
     run = tmp_path / "run"
     assert _train(data_file, run) == 0
@@ -560,3 +587,49 @@ def test_compare_empty_runs_entry_exit_4(data_file, tmp_path, capsys, monkeypatc
         assert main(["compare", "--runs", runs, "--data", str(data_file)]) == 4, runs
         captured = capsys.readouterr()
         assert "--runs has an empty entry" in captured.err and captured.out == "", runs
+
+
+def _mutate(raw: bytes, kind: str, rng: random.Random) -> bytes:
+    """``raw`` cut short, with one byte changed, or with 1-8 random bytes inserted."""
+    at = rng.randrange(len(raw))
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ rng.randrange(1, 256)]) + raw[at + 1:]
+    return raw[:at] + rng.randbytes(rng.randint(1, 8)) + raw[at:]
+
+
+# Each file the CLI reads, and the commands that read it.
+_READERS = {
+    "ds.bin": ("compare", "static"),
+    "ra/checkpoint.bin": ("compare",),
+    "ra/manifest.json": ("compare", "export"),
+    "ra/metrics.jsonl": ("compare", "export"),
+    "ra/candidates.json": ("export",),
+    "coreset.txt": ("static",),
+}
+
+
+@pytest.mark.parametrize("target", list(_READERS))
+def test_byte_mutated_files_exit_0_3_or_4(data_file, tmp_path, target):
+    cs = _export(data_file, tmp_path)
+    commands = {
+        "compare": ["compare", "--runs", f"{tmp_path / 'ra'},{tmp_path / 'rb'}", "--data", str(data_file)],
+        "export": ["export-coreset", "--run-a", str(tmp_path / "ra"), "--run-b", str(tmp_path / "rb"),
+                   "--rho", "0.25", "--out", str(tmp_path / "out.txt")],
+        "static": ["train", "--data", str(data_file), "--out", str(tmp_path / "static"), "--tau-stop", "6",
+                   "--batch-size", "32", "--out-dim", "4", "--method", "static", "--coreset", str(cs)],
+    }
+    path = tmp_path / target
+    raw = path.read_bytes()
+    rng = random.Random(target)
+    for i in range(60):
+        kind = ("truncate", "flip", "insert")[i % 3]
+        path.write_bytes(_mutate(raw, kind, rng))
+        for command in _READERS[target]:
+            try:
+                code = main(commands[command])
+            except Exception as exc:  # any escape is the failure under test
+                pytest.fail(f"{target} mutation {i} ({kind}): {command} raised {exc!r}")
+            assert code in (0, 3, 4), (target, i, kind, command, code)
+    path.write_bytes(raw)

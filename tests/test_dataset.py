@@ -17,6 +17,7 @@ from scanprune import (
 )
 from scanprune.dataset import (
     BadMagicError,
+    OverlongFileError,
     PairedDataset,
     TruncatedFileError,
     ValidationError,
@@ -195,6 +196,28 @@ def test_declared_sizes_checked_before_reading(tmp_path):
     cut.write_bytes(raw[:-1])  # one byte short of the corruption flags
     with pytest.raises(TruncatedFileError):
         load_dataset(cut)
+
+
+@pytest.mark.parametrize("extra", [1, 40, 10_000])
+def test_load_rejects_trailing_bytes(tmp_path, extra):
+    path = tmp_path / "d.bin"
+    save_dataset(generate_paired_dataset(_spec(n=64)), path)
+    size = path.stat().st_size
+    with open(path, "ab") as fh:
+        fh.write(bytes(extra))
+    with pytest.raises(OverlongFileError, match=f"overlong.*file has {size - 20 + extra}"):
+        load_dataset(path)
+
+
+def test_load_reads_owned_writable_arrays(tmp_path):
+    ds = generate_paired_dataset(_spec())
+    path = tmp_path / "d.bin"
+    save_dataset(ds, path)
+    again = load_dataset(path)
+    for a, b in zip((again.view_a, again.view_b, again.labels, again.corruption),
+                    (ds.view_a, ds.view_b, ds.labels, ds.corruption)):
+        assert a.flags.owndata and a.flags.writeable and a.flags.c_contiguous
+        assert a.dtype == b.dtype and a.shape == b.shape
 
 
 def test_load_rejects_zero_dim_and_unknown_corruption_flags(tmp_path):

@@ -18,6 +18,9 @@ checkout) and a ``diff`` of the two files.  It covers:
   artifacts as above: linear-wide's linear towers (dim 32, batch 64, out 8;
   n=4000, 6 epochs) and probe-mlp's MLP (dim 128, hidden 1024, out 2, batch
   128; n=512, 4 epochs);
+- the corpus file ``save_dataset`` writes at linear-wide's shape (n=20000,
+  dim 32) and probe-mlp's (n=2000, dim 128), and the arrays ``load_dataset``
+  reads back from it;
 - one CLI run per ``--method`` (and view_pair and an MLP run) on a 600 x 16
   corpus: the corpus, every artifact each manifest lists (``metrics.jsonl``
   without ``wall_ms``), the ``export-coreset`` file, the ``scan compare
@@ -113,6 +116,20 @@ def bench_shape_shas(sp, tmp: Path) -> dict[str, str]:
     return out
 
 
+def corpus_shas(sp, tmp: Path) -> dict[str, str]:
+    """The corpus file and its reload at the shapes the benchmark's ``setup_s`` times."""
+    out = {}
+    for n, dim in ((20000, 32), (2000, 128)):
+        path = tmp / "corpus.bin"
+        sp.save_dataset(_corpus(sp, n, dim), path)
+        back = sp.load_dataset(path)
+        out[f"lib/corpus_n{n}_dim{dim}/file"] = _sha(path.read_bytes())
+        out[f"lib/corpus_n{n}_dim{dim}/reload"] = _sha(b"".join(
+            a.dtype.str.encode() + str(a.shape).encode() + a.tobytes()
+            for a in (back.view_a, back.view_b, back.labels, back.corruption)))
+    return out
+
+
 def _drop_wall_ms(table: str) -> str:
     """``scan compare`` rows without their last column, ``wall_ms``."""
     return "\n".join(line.rsplit(None, 1)[0] for line in table.splitlines() if line.strip())
@@ -178,6 +195,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         shas.update(library_shas(sp, Path(tmp)))
         shas.update(bench_shape_shas(sp, Path(tmp)))
+        shas.update(corpus_shas(sp, Path(tmp)))
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
