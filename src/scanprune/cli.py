@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from scanprune import rundir
 from scanprune.coreset import CoresetError, PrunedSummary, export_coreset, load_coreset, save_coreset
@@ -57,47 +59,53 @@ def _default_seed() -> int:
     raise CliError(EXIT_INVALID, f"SCAN_SEED must be a non-negative integer, got {raw!r}")
 
 
-# ---------------------------------------------------------------- gen-data
+# ------------------------------------------------- TrainConfig and GenSpec
 
-def cmd_gen_data(args) -> int:
-    spec = GenSpec(
-        n=args.n,
-        dim=args.dim,
-        num_classes=args.num_classes,
-        mismatch_frac=args.mismatch_frac,
-        duplicate_frac=args.duplicate_frac,
-        noise_sigma=args.noise_sigma,
-        seed=_default_seed() if args.seed is None else args.seed,
-    )
-    try:
-        spec.validate()
-        ds = generate_paired_dataset(spec)
-    except DatasetError as exc:
-        raise CliError(EXIT_INVALID, f"invalid gen spec: {exc}") from exc
-    save_dataset(ds, args.out)
-    print(f"wrote {args.out} n={ds.n} dim={ds.dim} classes={ds.num_classes}")
-    return EXIT_OK
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes"):
+        return True
+    if raw.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(raw)
 
 
-# ------------------------------------------------------------------- train
-
-_CONFIG_KEYS = {
-    "rho": float,
-    "tau_cos": int,
-    "tau_stop": int,
-    "t_td": float,
-    "epsilon": float,
-    "batch_size": int,
-    "lr": float,
-    "out_dim": int,
-    "seed": int,
-    "mode": str,
-    "mlp": lambda v: v.lower() in ("1", "true", "yes"),
-    "hidden_dim": int,
+# A TrainConfig or GenSpec field's type -> how a config-file value is parsed,
+# and the argparse keywords of its --field-name flag.
+_FIELD_TYPES = {
+    int: (int, {"type": int}),
+    int | None: (int, {"type": int}),
+    float: (float, {"type": float}),
+    bool: (_parse_bool, {"action": "store_const", "const": True}),
+    Mode: (Mode, {"type": Mode, "choices": list(Mode),
+                  "metavar": "{" + ",".join(m.value for m in Mode) + "}"}),
 }
 
 
+def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One ``--field-name`` flag per field of ``cls``; a field without a default is required."""
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            required=f.default is MISSING,
+                            help="default: $SCAN_SEED, else 0" if f.name == "seed" else None,
+                            **_FIELD_TYPES[types[f.name]][1])
+
+
+def _from_flags(cls, args, values: dict):
+    """``cls`` from ``values`` (a config file's) overridden by the flags given.
+
+    ``seed`` falls back to ``SCAN_SEED`` when neither sets it.
+    """
+    for f in fields(cls):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    if "seed" not in values:
+        values["seed"] = _default_seed()
+    return cls(**values)
+
+
 def _load_config_file(path: str) -> dict:
+    types = get_type_hints(TrainConfig)
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -112,45 +120,50 @@ def _load_config_file(path: str) -> dict:
             raise CliError(EXIT_INVALID, f"bad config line {lineno}: {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in types:
             raise CliError(EXIT_INVALID, f"unknown config key: {key}")
         try:
-            values[key] = _CONFIG_KEYS[key](raw)
+            values[key] = _FIELD_TYPES[types[key]][0](raw)
         except ValueError as exc:
             raise CliError(EXIT_INVALID, f"bad value for {key}: {raw!r}") from exc
     return values
 
 
-def _build_config(args) -> TrainConfig:
-    values: dict = {}
-    if args.config:
-        values.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if "seed" not in values:
-        values["seed"] = _default_seed()
-    if "mode" in values:
-        try:
-            values["mode"] = Mode(values["mode"])
-        except ValueError as exc:
-            raise CliError(EXIT_INVALID, f"unknown mode: {values['mode']}") from exc
+def _read_dataset(path: str):
+    """The dataset at ``path`` and the SHA-256 of its file; a bad file exits 4."""
     try:
-        cfg = TrainConfig(**values)
-        cfg.validate()
-    except (TypeError, TrainerError) as exc:
-        raise CliError(EXIT_INVALID, f"invalid config: {exc}") from exc
-    return cfg
-
-
-def cmd_train(args) -> int:
-    cfg = _build_config(args)
-    try:
-        ds = load_dataset(args.data)
+        ds = load_dataset(path)
     except DatasetError as exc:
         raise CliError(EXIT_INVALID, f"bad dataset file: {exc}") from exc
-    data_sha = rundir.sha256(args.data)
+    return ds, rundir.sha256(path)
+
+
+# ---------------------------------------------------------------- gen-data
+
+def cmd_gen_data(args) -> int:
+    spec = _from_flags(GenSpec, args, {})
+    try:
+        spec.validate()
+        ds = generate_paired_dataset(spec)
+    except DatasetError as exc:
+        raise CliError(EXIT_INVALID, f"invalid gen spec: {exc}") from exc
+    save_dataset(ds, args.out)
+    print(f"wrote {args.out} n={ds.n} dim={ds.dim} classes={ds.num_classes}")
+    return EXIT_OK
+
+
+# ------------------------------------------------------------------- train
+
+def cmd_train(args) -> int:
+    cfg = _from_flags(TrainConfig, args, _load_config_file(args.config) if args.config else {})
+    try:
+        cfg.validate()
+    except TrainerError as exc:
+        raise CliError(EXIT_INVALID, f"invalid config: {exc}") from exc
+    ds, data_sha = _read_dataset(args.data)
+    if cfg.mlp and cfg.hidden_dim is None:
+        # the width init_params gives the hidden layer, so the manifest records it
+        cfg = replace(cfg, hidden_dim=ds.dim)
 
     if args.method == "static":
         if not args.coreset:
@@ -216,11 +229,7 @@ def cmd_compare(args) -> int:
         raise CliError(EXIT_INVALID, f"--runs has an empty entry: {args.runs!r}")
     ds = None
     if args.data:
-        try:
-            ds = load_dataset(args.data)
-        except DatasetError as exc:
-            raise CliError(EXIT_INVALID, f"bad dataset file: {exc}") from exc
-        data_sha = rundir.sha256(args.data)
+        ds, data_sha = _read_dataset(args.data)
     rows = []
     for run in runs:
         manifest, records = rundir.read_run(run)
@@ -251,13 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a synthetic paired dataset")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--dim", type=int, required=True)
-    g.add_argument("--num-classes", type=int, required=True)
-    g.add_argument("--mismatch-frac", type=float, default=0.0)
-    g.add_argument("--duplicate-frac", type=float, default=0.0)
-    g.add_argument("--noise-sigma", type=float, default=0.1)
-    g.add_argument("--seed", type=int, help="default: $SCAN_SEED, else 0")
+    _add_field_flags(g, GenSpec)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
@@ -267,18 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True)
     t.add_argument("--method", choices=("scan", "full", "random", "static"), default="scan")
     t.add_argument("--coreset", help="coreset id file (method=static)")
-    t.add_argument("--rho", type=float)
-    t.add_argument("--tau-cos", type=int, dest="tau_cos")
-    t.add_argument("--tau-stop", type=int, dest="tau_stop")
-    t.add_argument("--t-td", type=float, dest="t_td")
-    t.add_argument("--epsilon", type=float)
-    t.add_argument("--batch-size", type=int, dest="batch_size")
-    t.add_argument("--lr", type=float)
-    t.add_argument("--out-dim", type=int, dest="out_dim")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--mode", choices=tuple(m.value for m in Mode))
-    t.add_argument("--mlp", action="store_const", const=True, default=None)
-    t.add_argument("--hidden-dim", type=int, dest="hidden_dim")
+    _add_field_flags(t, TrainConfig)
     t.set_defaults(func=cmd_train)
 
     s = sub.add_parser("schedule", help="print the phase and mutation-ratio table")

@@ -60,10 +60,10 @@ class GenSpec:
     n: int
     dim: int
     num_classes: int
-    mismatch_frac: float
-    duplicate_frac: float
-    noise_sigma: float
-    seed: int
+    mismatch_frac: float = 0.0
+    duplicate_frac: float = 0.0
+    noise_sigma: float = 0.1
+    seed: int = 0
 
     def validate(self) -> None:
         if self.num_classes < 2:

@@ -158,8 +158,9 @@ def _run_epoch(params, a, b, order, cfg, keep_tables: bool):
     # Batches go into two buffers the epoch reuses (gradients keeps no
     # reference to its inputs): a fresh 128 KiB array per batch raised
     # probe-mlp's peak RSS by 8 MB.  Ids lie in [0, n), so "clip" never clips;
-    # it spares the copy np.take makes with out= in "raise" mode.
-    xa = np.empty((cfg.batch_size, a.shape[1]))
+    # it spares the copy np.take makes with out= in "raise" mode.  A batch
+    # never holds more ids than the epoch has, whatever the batch size.
+    xa = np.empty((min(cfg.batch_size, len(order)), a.shape[1]))
     xb = np.empty_like(xa)
     for start in starts:
         ids = order[start:start + cfg.batch_size]

@@ -3,6 +3,7 @@ import random
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -10,7 +11,7 @@ from scanprune import load_dataset, load_checkpoint
 from scanprune.cli import main
 from scanprune.coreset import load_coreset
 from scanprune.dataset import DUPLICATE, MISMATCHED
-from scanprune.trainer import read_metrics
+from scanprune.trainer import TrainConfig, read_metrics
 
 
 @pytest.fixture()
@@ -121,6 +122,9 @@ def test_bad_flags_exit_2(data_file, tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "--n", "10"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(data_file), "--out", str(tmp_path / "x"), "--mode", "bogus"])
     assert exc.value.code == 2
 
 
@@ -633,3 +637,81 @@ def test_byte_mutated_files_exit_0_3_or_4(data_file, tmp_path, target):
                 pytest.fail(f"{target} mutation {i} ({kind}): {command} raised {exc!r}")
             assert code in (0, 3, 4), (target, i, kind, command, code)
     path.write_bytes(raw)
+
+
+def test_config_file_booleans_are_checked(data_file, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    for raw in ("banana", "", "2", "on"):
+        cfg.write_text(f"mlp = {raw}\n")
+        out = tmp_path / "bad"
+        assert _train(data_file, out, "--config", str(cfg)) == 4, raw
+        assert "bad value for mlp" in capsys.readouterr().err
+        assert not out.exists()
+    for i, (raw, mlp) in enumerate((("1", True), ("TRUE", True), ("Yes", True),
+                                    ("0", False), ("False", False), ("NO", False))):
+        cfg.write_text(f"mlp = {raw}\n")
+        out = tmp_path / f"ok{i}"
+        assert _train(data_file, out, "--config", str(cfg)) == 0, raw
+        assert json.loads((out / "manifest.json").read_text())["config"]["mlp"] is mlp
+
+
+def test_manifest_records_the_mlp_hidden_width(data_file, tmp_path):
+    for i, extra in enumerate((["--mlp"], ["--mlp", "--hidden-dim", "16"])):
+        out = tmp_path / f"run{i}"
+        assert _train(data_file, out, *extra) == 0
+        # header: magic, then u32 version, is_mlp, dim, hidden, out_dim
+        hidden = struct.unpack_from("<I", (out / "checkpoint.bin").read_bytes(), 16)[0]
+        assert json.loads((out / "manifest.json").read_text())["config"]["hidden_dim"] == hidden, extra
+
+
+def test_batch_larger_than_corpus_trains_as_one_batch(data_file, tmp_path):
+    big, whole = tmp_path / "big", tmp_path / "whole"
+    assert _train(data_file, big, "--batch-size", "10000000000000") == 0
+    assert _train(data_file, whole, "--batch-size", "64") == 0
+    assert (big / "checkpoint.bin").read_bytes() == (whole / "checkpoint.bin").read_bytes()
+
+
+# A valid value other than the default for every TrainConfig field, as a flag
+# or config-file value and as the manifest records it.
+_NON_DEFAULT = {
+    "rho": ("0.25", 0.25),
+    "tau_cos": ("2", 2),
+    "tau_stop": ("7", 7),
+    "t_td": ("0.5", 0.5),
+    "epsilon": ("1e-09", 1e-9),
+    "batch_size": ("16", 16),
+    "lr": ("0.2", 0.2),
+    "out_dim": ("3", 3),
+    "seed": ("5", 5),
+    "mode": ("view_pair", "view_pair"),
+    "mlp": ("yes", True),
+    "hidden_dim": ("16", 16),
+}
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)])
+def test_every_config_field_is_set_by_flag_and_by_config_file(data_file, tmp_path, name, route):
+    raw, recorded = _NON_DEFAULT[name]
+    settings = {"mlp": "yes", name: raw} if name == "hidden_dim" else {name: raw}
+    if route == "flag":
+        argv = []
+        for key, value in settings.items():
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if key == "mlp" else [flag, value]
+    else:
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_file), "--out", str(out), *argv]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"][name] == recorded
+
+
+def test_gen_data_defaults_equal_the_spelled_out_flags(tmp_path):
+    base = ["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--seed", "3"]
+    short, spelled = tmp_path / "short.bin", tmp_path / "spelled.bin"
+    assert main([*base, "--out", str(short)]) == 0
+    assert main([*base, "--mismatch-frac", "0", "--duplicate-frac", "0", "--noise-sigma", "0.1",
+                 "--out", str(spelled)]) == 0
+    assert short.read_bytes() == spelled.read_bytes()

@@ -24,7 +24,10 @@ checkout) and a ``diff`` of the two files.  It covers:
 - one CLI run per ``--method`` (and view_pair and an MLP run) on a 600 x 16
   corpus: the corpus, every artifact each manifest lists (``metrics.jsonl``
   without ``wall_ms``), the ``export-coreset`` file, the ``scan compare
-  --data`` rows without ``wall_ms`` and the ``scan schedule`` table.
+  --data`` rows without ``wall_ms`` and the ``scan schedule`` table;
+- the corpus of a ``gen-data`` given only its required flags (seed from an
+  unset ``SCAN_SEED``), and the manifest and checkpoint of a ``train --config``
+  run whose file sets every ``TrainConfig`` key.
 
 The CLI runs in a temporary directory with relative paths, so manifests and
 the coreset header are the same bytes in every checkout.
@@ -178,6 +181,15 @@ def cli_shas(main) -> dict[str, str]:
                     "--probe-seed", seed)
         out[f"cli/compare/probe_seed{seed}"] = _sha(_drop_wall_ms(table).encode())
     out["cli/schedule"] = _sha(run("schedule", "--tau-cos", "3", "--epochs", "8").encode())
+
+    run("gen-data", "--n", "600", "--dim", "16", "--num-classes", "6", "--out", "defaults.bin")
+    out["cli/defaults.bin"] = _sha(Path("defaults.bin").read_bytes())
+    Path("every_key.cfg").write_text(
+        "rho = 0.25\ntau_cos = 2\ntau_stop = 9\nt_td = 1.0\nepsilon = 1e-10\nbatch_size = 48\n"
+        "lr = 0.3\nout_dim = 6\nseed = 4\nmode = view_pair\nmlp = yes\nhidden_dim = 24\n")
+    run("train", "--data", "data.bin", "--out", "every_key", "--config", "every_key.cfg")
+    for artifact in ("manifest.json", "checkpoint.bin"):
+        out[f"cli/every_key/{artifact}"] = _sha(Path("every_key", artifact).read_bytes())
     return out
 
 
@@ -191,6 +203,7 @@ def main() -> int:
     import scanprune as sp
     from scanprune.cli import main as cli_main
 
+    os.environ.pop("SCAN_SEED", None)  # gen-data given no --seed reads it
     shas = {}
     with tempfile.TemporaryDirectory() as tmp:
         shas.update(library_shas(sp, Path(tmp)))
