@@ -67,11 +67,3 @@ def threads(count: int):
     finally:
         set_(before)
 
-
-def single_threaded():
-    """Run the body with one OpenBLAS thread.
-
-    For phases made of thin matmuls between elementwise passes, where a second
-    BLAS thread saves no wall time and spin-waits through the passes.
-    """
-    return threads(1)

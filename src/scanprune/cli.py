@@ -1,7 +1,7 @@
 """Command-line entry point: gen-data, train, schedule, export-coreset, compare.
 
 Every command is a single process with no daemon state.  Exit codes: 2 bad
-flags, 3 missing file, 4 invalid config or data.
+flags, 3 missing file, 4 invalid config or data, or out of memory.
 """
 
 from __future__ import annotations
@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: int, exc: Exception) -> int:
-    print(f"error code={code} msg={exc}", file=sys.stderr)
+def _fail(code: int, msg) -> int:
+    print(f"error code={code} msg={msg}", file=sys.stderr)
     return code
 
 
@@ -309,6 +309,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_INVALID, exc)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         return _fail(EXIT_MISSING_FILE, exc)
+    except MemoryError as exc:
+        return _fail(EXIT_INVALID, f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -76,8 +76,8 @@ class GenSpec:
             raise ValidationError("corruption fractions must lie in [0, 1]")
         if self.mismatch_frac + self.duplicate_frac > 1.0:
             raise ValidationError("mismatch_frac + duplicate_frac must be <= 1")
-        if self.noise_sigma < 0.0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValidationError("noise_sigma must be finite and >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         if max(self.n, self.dim, self.num_classes) > _U32_MAX:

@@ -183,18 +183,15 @@ def batch_candidates(fg_losses, gf_losses, ids, rho: float) -> CandidateSet:
     def by_id(positions: np.ndarray) -> np.ndarray:
         return positions[np.argsort(ids[positions], kind="stable")]
 
+    # rank_fg is a permutation of 0..b-1, so each core below holds at most k ids.
     chosen = np.zeros(b, dtype=bool)
     core = arange[(rank_fg < k) & (rank_gf < k)]
-    if core.shape[0] > k:
-        core = by_id(core)[:k]
     chosen[core] = True
     fill = red_order[~chosen[red_order]][: k - core.shape[0]]
     chosen[fill] = True
     red = np.concatenate((core, fill))
 
     core = arange[(rank_fg >= b - k) & (rank_gf >= b - k) & ~chosen]
-    if core.shape[0] > k:
-        core = by_id(core)[:k]
     chosen[core] = True
     fill = ill_order[~chosen[ill_order]][: k - core.shape[0]]
     ill = np.concatenate((core, fill))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 class SchedulerError(Exception):
@@ -72,11 +72,8 @@ class ScheduleState:
     t_td: float
     epsilon: float = 1e-12
     tau_cur: int = 0
-    warmup_done: bool = False
     warmup_end: int | None = None  # first post-warm-up epoch index
-    l_prev: float = 0.0
     l_cur: float = 0.0
-    _epochs_measured: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.tau_cos < 1:
@@ -84,37 +81,41 @@ class ScheduleState:
         if self.tau_stop <= self.tau_cos:
             raise SchedulerError("tau_stop must exceed tau_cos")
 
+    @property
+    def warmup_done(self) -> bool:
+        return self.warmup_end is not None
+
     def record_epoch_loss(self, mean_loss: float) -> None:
         """Fold in a completed epoch's mean loss and update warm-up status."""
-        self.l_prev = self.l_cur
-        self.l_cur = mean_loss
-        self._epochs_measured += 1
+        l_prev, self.l_cur = self.l_cur, mean_loss
         self.tau_cur += 1
         if self.warmup_done:
             return
-        fired = self._epochs_measured >= 2 and should_start_pruning(
-            self.l_prev, self.l_cur, self.t_td, self.epsilon
-        )
+        fired = self.tau_cur >= 2 and should_start_pruning(l_prev, self.l_cur, self.t_td, self.epsilon)
         if fired or self.tau_cur >= warmup_cap(self.tau_stop):
-            self.warmup_done = True
             self.warmup_end = self.tau_cur
+
+
+def _post_warmup_phase(offset: int, tau_cos: int) -> Phase:
+    """Phase of the epoch ``offset`` epochs after warm-up ended."""
+    if offset % (tau_cos + 1) == 0:
+        return Phase(PhaseKind.PREPARE)
+    return Phase(PhaseKind.MUTATE, mutation_ratio(offset, tau_cos))
 
 
 def round_phase(state: ScheduleState) -> Phase:
     """Phase of the current epoch (``state.tau_cur``)."""
     if not state.warmup_done:
         return Phase(PhaseKind.WARMUP)
-    if state.warmup_end is None or state.tau_cur < state.warmup_end:
-        raise SchedulerError("warmup_done without a valid warmup_end")
-    offset = state.tau_cur - state.warmup_end
-    if offset % (state.tau_cos + 1) == 0:
-        return Phase(PhaseKind.PREPARE)
-    return Phase(PhaseKind.MUTATE, mutation_ratio(offset, state.tau_cos))
+    if state.tau_cur < state.warmup_end:
+        raise SchedulerError("warmup_end lies after tau_cur")
+    return _post_warmup_phase(state.tau_cur - state.warmup_end, state.tau_cos)
 
 
 def phase_table(tau_cos: int, epochs: int):
     """Post-warm-up phase sequence for ``epochs`` epochs starting at a Prepare."""
     if epochs < 0:
         raise SchedulerError("epochs must be >= 0")
-    state = ScheduleState(tau_cos, tau_cos + 1, t_td=0.0, warmup_done=True, warmup_end=0)
-    return [(e, round_phase(replace(state, tau_cur=e))) for e in range(epochs)]
+    if tau_cos < 1:
+        raise SchedulerError("tau_cos must be >= 1")
+    return [(e, _post_warmup_phase(e, tau_cos)) for e in range(epochs)]

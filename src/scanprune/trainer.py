@@ -283,7 +283,7 @@ def linear_probe(params: EncoderParams, ds: PairedDataset, probe_seed: int) -> f
     and most of each step is elementwise, so a second thread only spin-waits.
     The caller's thread count is restored on return or raise.
     """
-    with blas.single_threaded():
+    with blas.threads(1):
         labels = ds.labels.astype(np.int64)
         classes = np.unique(labels)
         if classes.size < 2:

@@ -7,11 +7,11 @@ from dataclasses import fields
 
 import pytest
 
-from scanprune import load_dataset, load_checkpoint
+from scanprune import load_dataset
 from scanprune.cli import main
 from scanprune.coreset import load_coreset
 from scanprune.dataset import DUPLICATE, MISMATCHED
-from scanprune.trainer import TrainConfig, read_metrics
+from scanprune.trainer import TrainConfig, load_checkpoint, read_metrics
 
 
 @pytest.fixture()
@@ -150,6 +150,27 @@ def test_gen_data_beyond_u32_header_exits_4_before_generating(tmp_path, monkeypa
     assert main(["gen-data", "--n", "5000000000", "--dim", "4000", "--num-classes", "3",
                  "--out", str(out)]) == 4
     assert "u32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_gen_data_non_finite_noise_sigma_exits_4_before_generating(tmp_path, monkeypatch, capsys, sigma):
+    def must_not_generate(spec):
+        pytest.fail("generate_paired_dataset called on a non-finite noise_sigma")
+
+    monkeypatch.setattr("scanprune.cli.generate_paired_dataset", must_not_generate)
+    out = tmp_path / "x.bin"
+    assert main(["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--noise-sigma", sigma,
+                 "--out", str(out)]) == 4
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_too_large_to_allocate_exits_4(data_file, tmp_path, capsys):
+    # 1e11 x 8 float64 weights are 5.8 TiB: refused at allocation, nothing is filled
+    out = tmp_path / "run"
+    assert _train(data_file, out, "--out-dim", "100000000000") == 4
+    assert "out of memory" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scanprune import (
-    CandidateSet,
-    PrunedSummary,
-    export_coreset,
-    load_coreset,
-    save_coreset,
-)
-from scanprune.coreset import CoresetError
+from scanprune import CandidateSet, PrunedSummary, export_coreset
+from scanprune.coreset import CoresetError, load_coreset, save_coreset
 
 
 def _summary(run_id, pruned, n, scores=None):

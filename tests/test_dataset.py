@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 import tracemalloc
 
@@ -6,16 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scanprune import (
-    CLEAN,
-    DUPLICATE,
-    MISMATCHED,
-    GenSpec,
-    generate_paired_dataset,
-    load_dataset,
-    save_dataset,
-)
+from scanprune import DUPLICATE, MISMATCHED, GenSpec, generate_paired_dataset, load_dataset, save_dataset
 from scanprune.dataset import (
+    CLEAN,
     BadMagicError,
     OverlongFileError,
     PairedDataset,
@@ -126,6 +120,12 @@ def test_genspec_rejects_sizes_beyond_the_u32_header(kw):
     with pytest.raises(ValidationError, match="u32"):
         _spec(**kw).validate()
     _spec(**{k: 2**32 - 1 for k in kw}).validate()
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_genspec_rejects_non_finite_noise_sigma(sigma):
+    with pytest.raises(ValidationError, match="noise_sigma must be finite"):
+        _spec(noise_sigma=sigma).validate()
 
 
 def test_roundtrip_bit_exact(tmp_path):

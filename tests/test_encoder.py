@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from scanprune import EncoderParams, Tower, encode, init_params
-from scanprune.encoder import EncoderError, INIT_TEMP, TEMP_MAX, TEMP_MIN, forward_tower, normalize_rows
+from scanprune import init_params
+from scanprune.encoder import (
+    INIT_TEMP,
+    TEMP_MAX,
+    TEMP_MIN,
+    EncoderError,
+    EncoderParams,
+    Tower,
+    encode,
+    forward_tower,
+    normalize_rows,
+)
 
 
 def test_init_shapes_and_temperature():

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scanprune import (
+from scanprune import batch_loss, gradients, init_params, per_sample_losses
+from scanprune.encoder import (
+    LOG_TEMP_MAX,
+    LOG_TEMP_MIN,
     EncoderParams,
     Tower,
-    batch_loss,
     encode,
-    gradients,
-    init_params,
-    per_sample_losses,
-    similarity_matrix,
+    forward_tower,
+    normalize_rows,
 )
-from scanprune.encoder import LOG_TEMP_MAX, LOG_TEMP_MIN, forward_tower, normalize_rows
-from scanprune.infonce import InfoNCEError
+from scanprune.infonce import InfoNCEError, similarity_matrix
 
 
 def _monolithic_loss(S):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from scanprune import (
-    CandidateSet,
-    Tag,
+from scanprune import CandidateSet, Tag, active_indices, sample_pruned, select_batch_candidates
+from scanprune.pruner import (
+    PrunerError,
+    RankedFallback,
     accumulate,
-    active_indices,
+    batch_candidates,
     merge_directions,
-    sample_pruned,
-    select_batch_candidates,
+    rank_orders,
 )
-from scanprune.pruner import PrunerError, RankedFallback, batch_candidates, rank_orders
 
 
 def brute_force_select(losses, ids, rho):

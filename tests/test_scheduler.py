@@ -2,8 +2,16 @@ import math
 
 import pytest
 
-from scanprune import ScheduleState, mutation_ratio, round_phase, should_start_pruning
-from scanprune.scheduler import PhaseKind, SchedulerError, phase_table, warmup_cap
+from scanprune import mutation_ratio
+from scanprune.scheduler import (
+    PhaseKind,
+    SchedulerError,
+    ScheduleState,
+    phase_table,
+    round_phase,
+    should_start_pruning,
+    warmup_cap,
+)
 
 
 def test_should_start_pruning_examples():

@@ -15,7 +15,6 @@ from scanprune import (
     TrainConfig,
     generate_paired_dataset,
     linear_probe,
-    load_checkpoint,
     save_checkpoint,
     train_full,
     train_random_baseline,
@@ -25,6 +24,7 @@ from scanprune import (
 from scanprune import blas, trainer
 from scanprune.encoder import Tower, encode
 from scanprune.infonce import gradients
+from scanprune.scheduler import phase_table, warmup_cap
 from scanprune.trainer import (
     CheckpointError,
     TrainerError,
@@ -33,6 +33,7 @@ from scanprune.trainer import (
     _fit_probe,
     _pairwise_sum,
     init_params,
+    load_checkpoint,
     read_metrics,
     write_metrics,
 )
@@ -58,6 +59,18 @@ def test_phase_sequence_earliest_pruning():
         "WarmUp", "WarmUp", "Prepare", "Mutate", "Mutate", "Mutate",
         "Prepare", "Mutate", "Mutate", "Mutate"]
     assert [round(r.rho_cur, 12) for r in res.records[2:6]] == [0, 0.25, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("t_td", [0.0, 0.3, 1.0])
+def test_training_follows_the_schedule_table(t_td):
+    # `scan schedule` prints phase_table; after warm-up, training runs its rows
+    cfg = _cfg(t_td=t_td, tau_stop=14)
+    records = train_scan(_ds(), cfg).records
+    w = next(i for i, r in enumerate(records) if r.phase != "WarmUp")
+    rows = phase_table(cfg.tau_cos, cfg.tau_stop - w)
+    assert [(r.phase, r.rho_cur) for r in records[w:]] == [(ph.name, ph.rho_cur) for _, ph in rows]
+    if t_td == 0.0:
+        assert w == warmup_cap(cfg.tau_stop)  # the loss never rises, so only the cap ends warm-up
 
 
 def test_grow_back_full_size_at_prepare():
@@ -552,7 +565,7 @@ def test_thread_scope_is_a_no_op_without_either_symbol(monkeypatch, symbol):
         blas._functions.cache_clear()
         try:
             assert blas.num_threads() is None
-            with blas.single_threaded():
+            with blas.threads(1):
                 assert real_get() == 2
             assert linear_probe(params, ds, probe_seed=0) == expected
         finally:

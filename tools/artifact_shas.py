@@ -18,13 +18,18 @@ checkout) and a ``diff`` of the two files.  It covers:
   artifacts as above: linear-wide's linear towers (dim 32, batch 64, out 8;
   n=4000, 6 epochs) and probe-mlp's MLP (dim 128, hidden 1024, out 2, batch
   128; n=512, 4 epochs);
+- ``train_scan`` at linear-wide's shape over 16 epochs at the two warm-up
+  exits ``t_td=1.0`` never reaches: ``t_td=0.0``, where warm-up ends at the
+  cap (epoch 4), and ``t_td=0.0045``, where the loss-drop rule fires at
+  epoch 3;
 - the corpus file ``save_dataset`` writes at linear-wide's shape (n=20000,
   dim 32) and probe-mlp's (n=2000, dim 128), and the arrays ``load_dataset``
   reads back from it;
 - one CLI run per ``--method`` (and view_pair and an MLP run) on a 600 x 16
   corpus: the corpus, every artifact each manifest lists (``metrics.jsonl``
   without ``wall_ms``), the ``export-coreset`` file, the ``scan compare
-  --data`` rows without ``wall_ms`` and the ``scan schedule`` table;
+  --data`` rows without ``wall_ms`` and the ``scan schedule`` tables
+  (``--tau-cos`` 3, 1, 2 and 5, and the header-only ``--epochs 0``);
 - the corpus of a ``gen-data`` given only its required flags (seed from an
   unset ``SCAN_SEED``), and the manifest and checkpoint of a ``train --config``
   run whose file sets every ``TrainConfig`` key.
@@ -119,6 +124,16 @@ def bench_shape_shas(sp, tmp: Path) -> dict[str, str]:
     return out
 
 
+def warmup_exit_shas(sp, tmp: Path) -> dict[str, str]:
+    """``train_scan`` where warm-up ends at the cap and where the loss-drop rule fires after epoch 2."""
+    out = {}
+    ds = _corpus(sp, 4000, 32)
+    for t_td in (0.0, 0.0045):
+        cfg = sp.TrainConfig(rho=0.3, tau_cos=3, tau_stop=16, t_td=t_td, batch_size=64, out_dim=8, seed=3)
+        out.update(_run_shas(sp, tmp, f"t_td{t_td}/train_scan", sp.train_scan(ds, cfg), ds))
+    return out
+
+
 def corpus_shas(sp, tmp: Path) -> dict[str, str]:
     """The corpus file and its reload at the shapes the benchmark's ``setup_s`` times."""
     out = {}
@@ -181,6 +196,10 @@ def cli_shas(main) -> dict[str, str]:
                     "--probe-seed", seed)
         out[f"cli/compare/probe_seed{seed}"] = _sha(_drop_wall_ms(table).encode())
     out["cli/schedule"] = _sha(run("schedule", "--tau-cos", "3", "--epochs", "8").encode())
+    for tau_cos in ("1", "2", "5"):
+        table = run("schedule", "--tau-cos", tau_cos, "--epochs", "13")
+        out[f"cli/schedule_tau_cos{tau_cos}"] = _sha(table.encode())
+    out["cli/schedule_epochs0"] = _sha(run("schedule", "--tau-cos", "3", "--epochs", "0").encode())
 
     run("gen-data", "--n", "600", "--dim", "16", "--num-classes", "6", "--out", "defaults.bin")
     out["cli/defaults.bin"] = _sha(Path("defaults.bin").read_bytes())
@@ -208,6 +227,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         shas.update(library_shas(sp, Path(tmp)))
         shas.update(bench_shape_shas(sp, Path(tmp)))
+        shas.update(warmup_exit_shas(sp, Path(tmp)))
         shas.update(corpus_shas(sp, Path(tmp)))
         cwd = os.getcwd()
         os.chdir(tmp)
