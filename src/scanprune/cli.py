@@ -31,7 +31,6 @@ from scanprune.trainer import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_INVALID = 4
 

@@ -118,6 +118,8 @@ def init_params(
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = {}
     for name, (rows, cols) in weight_shapes(dim, out_dim, hidden):
+        if rows * cols > np.iinfo(np.intp).max // 8:  # NumPy raises ValueError for such a shape
+            raise MemoryError(f"{name} would hold {rows} x {cols} float64, past the address space")
         bound = 1.0 / math.sqrt(cols)
         weights[name] = rng.uniform(-bound, bound, size=(rows, cols))
     return EncoderParams(log_temp=math.log(INIT_TEMP), **weights)

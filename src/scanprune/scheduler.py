@@ -10,7 +10,8 @@ Warm-up ends once the relative epoch-over-epoch loss drop falls below the
 threshold ``t_td`` (a large drop means the model is still moving, so pruning
 would be premature).  Two measured epoch losses are required before the
 criterion can fire, and warm-up is force-ended at epoch ceil(tau_stop / 4) so
-short runs always reach the pruning phases.
+short runs always reach the pruning phases.  The law keeps no state: an
+epoch's phase is a function of its index and the epoch losses before it.
 """
 
 from __future__ import annotations
@@ -63,59 +64,36 @@ def warmup_cap(tau_stop: int) -> int:
     return math.ceil(tau_stop / 4)
 
 
-@dataclass
-class ScheduleState:
-    """Epoch-level state machine; advance once per completed epoch."""
+def warmup_end(losses, t_td: float, epsilon: float, tau_stop: int) -> int | None:
+    """First post-warm-up epoch given the epoch mean ``losses`` so far; None while warming up.
 
-    tau_cos: int
-    tau_stop: int
-    t_td: float
-    epsilon: float = 1e-12
-    tau_cur: int = 0
-    warmup_end: int | None = None  # first post-warm-up epoch index
-    l_cur: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.tau_cos < 1:
-            raise SchedulerError("tau_cos must be >= 1")
-        if self.tau_stop <= self.tau_cos:
-            raise SchedulerError("tau_stop must exceed tau_cos")
-
-    @property
-    def warmup_done(self) -> bool:
-        return self.warmup_end is not None
-
-    def record_epoch_loss(self, mean_loss: float) -> None:
-        """Fold in a completed epoch's mean loss and update warm-up status."""
-        l_prev, self.l_cur = self.l_cur, mean_loss
-        self.tau_cur += 1
-        if self.warmup_done:
-            return
-        fired = self.tau_cur >= 2 and should_start_pruning(l_prev, self.l_cur, self.t_td, self.epsilon)
-        if fired or self.tau_cur >= warmup_cap(self.tau_stop):
-            self.warmup_end = self.tau_cur
+    That is the first ``k >= 2`` whose drop ``losses[k-2] -> losses[k-1]``
+    satisfies :func:`should_start_pruning`, and never later than
+    ``warmup_cap(tau_stop)``.  More losses never move an answer once given.
+    """
+    cap = warmup_cap(tau_stop)
+    for k in range(2, min(len(losses), cap) + 1):
+        if should_start_pruning(losses[k - 2], losses[k - 1], t_td, epsilon):
+            return k
+    return cap if len(losses) >= cap else None
 
 
-def _post_warmup_phase(offset: int, tau_cos: int) -> Phase:
-    """Phase of the epoch ``offset`` epochs after warm-up ended."""
+def round_phase(epoch: int, warmup_end: int | None, tau_cos: int) -> Phase:
+    """Phase of ``epoch``, given the first post-warm-up epoch (None while warming up)."""
+    if tau_cos < 1:
+        raise SchedulerError("tau_cos must be >= 1")
+    if warmup_end is None or epoch < warmup_end:
+        return Phase(PhaseKind.WARMUP)
+    offset = epoch - warmup_end
     if offset % (tau_cos + 1) == 0:
         return Phase(PhaseKind.PREPARE)
     return Phase(PhaseKind.MUTATE, mutation_ratio(offset, tau_cos))
-
-
-def round_phase(state: ScheduleState) -> Phase:
-    """Phase of the current epoch (``state.tau_cur``)."""
-    if not state.warmup_done:
-        return Phase(PhaseKind.WARMUP)
-    if state.tau_cur < state.warmup_end:
-        raise SchedulerError("warmup_end lies after tau_cur")
-    return _post_warmup_phase(state.tau_cur - state.warmup_end, state.tau_cos)
 
 
 def phase_table(tau_cos: int, epochs: int):
     """Post-warm-up phase sequence for ``epochs`` epochs starting at a Prepare."""
     if epochs < 0:
         raise SchedulerError("epochs must be >= 0")
-    if tau_cos < 1:
+    if tau_cos < 1:  # round_phase checks it too, but is not called when epochs is 0
         raise SchedulerError("tau_cos must be >= 1")
-    return [(e, _post_warmup_phase(e, tau_cos)) for e in range(epochs)]
+    return [(e, round_phase(e, 0, tau_cos)) for e in range(epochs)]

@@ -23,7 +23,7 @@ from scanprune.dataset import PairedDataset
 from scanprune.encoder import EncoderParams, Tower, encode, init_params, weight_shapes
 from scanprune.infonce import gradients
 from scanprune.pruner import CandidateSet, accumulate, active_indices, batch_candidates, sample_pruned
-from scanprune.scheduler import PhaseKind, ScheduleState, round_phase
+from scanprune.scheduler import PhaseKind, round_phase, warmup_end
 
 CHECKPOINT_MAGIC = b"SCNP"
 CHECKPOINT_VERSION = 1
@@ -105,11 +105,14 @@ class RunResult:
     records: list[EpochRecord]
     candidate_history: list[CandidateSet] = field(default_factory=list)
     exclusions: dict[int, list[int]] = field(default_factory=dict)
-    forward_passes: int = 0
     batches_per_epoch: list[int] = field(default_factory=list)
-    wall_ms: float = 0.0
     cpu_ms: float = 0.0  # process CPU time; immune to scheduler preemption
     bookkeep_ms: float = 0.0
+
+    @property
+    def forward_passes(self) -> int:
+        """Training forward passes: one per batch, shared with candidate selection."""
+        return sum(self.batches_per_epoch)
 
     @property
     def mean_loss(self) -> float:
@@ -189,14 +192,13 @@ def _train(ds: PairedDataset, cfg: TrainConfig, active_ids, label: str | None = 
     scan = label is None
     a, b = _views(ds, cfg)
     params = init_params(ds.dim, cfg.out_dim, cfg.seed, mlp=cfg.mlp, hidden_dim=cfg.hidden_dim)
-    state = ScheduleState(cfg.tau_cos, cfg.tau_stop, cfg.t_td, cfg.epsilon)
     result = RunResult(params=params, records=[])
     history = result.candidate_history
-    t_run = time.perf_counter()
+    losses = []  # each finished epoch's mean loss
     c_run = time.process_time()
     for epoch in range(cfg.tau_stop):
         t0 = time.perf_counter()
-        phase = round_phase(state)
+        phase = round_phase(epoch, warmup_end(losses, cfg.t_td, cfg.epsilon, cfg.tau_stop), cfg.tau_cos)
         order = _shuffle_rng(cfg.seed, epoch).permutation(active_ids(epoch, phase, result))
         collect = scan and phase.kind is PhaseKind.PREPARE
         mean_fg, mean_gf, batches, tables = _run_epoch(params, a, b, order, cfg, collect)
@@ -218,10 +220,8 @@ def _train(ds: PairedDataset, cfg: TrainConfig, active_ids, label: str | None = 
             wall_ms=(time.perf_counter() - t0) * 1e3,
             candidate_size=len(history[-1]) if history else 0,
         ))
-        result.forward_passes += batches
         result.batches_per_epoch.append(batches)
-        state.record_epoch_loss((mean_fg + mean_gf) / 2.0)
-    result.wall_ms = (time.perf_counter() - t_run) * 1e3
+        losses.append((mean_fg + mean_gf) / 2.0)
     result.cpu_ms = (time.process_time() - c_run) * 1e3
     return result
 

@@ -167,11 +167,16 @@ def test_gen_data_non_finite_noise_sigma_exits_4_before_generating(tmp_path, mon
 
 
 def test_model_too_large_to_allocate_exits_4(data_file, tmp_path, capsys):
-    # 1e11 x 8 float64 weights are 5.8 TiB: refused at allocation, nothing is filled
-    out = tmp_path / "run"
-    assert _train(data_file, out, "--out-dim", "100000000000") == 4
-    assert "out of memory" in capsys.readouterr().err
-    assert not out.exists()
+    # 1e11 x 8 float64 weights are 5.8 TiB: refused at allocation, nothing is filled.
+    # The others are shapes NumPy cannot address (a dimension or a byte count past
+    # intp), which it rejects before allocating anything.
+    cases = (["--out-dim", "100000000000"], ["--out-dim", "100000000000000000000"],
+             ["--out-dim", "1152921504606846976"], ["--mlp", "--hidden-dim", "100000000000000000000"])
+    for i, extra in enumerate(cases):
+        out = tmp_path / f"run{i}"
+        assert _train(data_file, out, *extra) == 4, extra
+        assert "out of memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_schedule_negative_epochs_exit_4(capsys):

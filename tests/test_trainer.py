@@ -137,12 +137,22 @@ def test_mean_pruned_fraction_close_to_rho():
     assert np.mean(pruned) == pytest.approx(cfg.rho, abs=0.02)
 
 
-def test_forward_pass_accounting():
+def test_forward_pass_accounting(monkeypatch):
+    calls = []
+
+    def counting_gradients(params, batch_a, batch_b):
+        calls.append(len(batch_a))
+        return gradients(params, batch_a, batch_b)
+
+    monkeypatch.setattr("scanprune.trainer.gradients", counting_gradients)
     ds = _ds()
     res = train_scan(ds, _cfg())
-    assert res.forward_passes == sum(res.batches_per_epoch)
-    for r, batches in zip(res.records, res.batches_per_epoch):
-        assert batches == -(-r.active_size // 64)
+    assert len(calls) == res.forward_passes == sum(res.batches_per_epoch)
+    batches = iter(calls)
+    for r, n_batches in zip(res.records, res.batches_per_epoch):
+        assert n_batches == -(-r.active_size // 64)
+        # one call per batch, and the epoch's calls cover its active samples
+        assert sum(next(batches) for _ in range(n_batches)) == r.active_size
 
 
 def test_random_baseline_drops_floor_rho_n():
