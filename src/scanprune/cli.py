@@ -13,10 +13,10 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from scanprune import rundir
+from scanprune import coreset, rundir
 from scanprune.coreset import CoresetError, PrunedSummary, export_coreset, load_coreset, save_coreset
 from scanprune.dataset import DatasetError, GenSpec, generate_paired_dataset, load_dataset, save_dataset
-from scanprune.scheduler import SchedulerError, phase_table
+from scanprune.scheduler import round_phase
 from scanprune.trainer import (
     Mode,
     TrainConfig,
@@ -146,7 +146,7 @@ def cmd_gen_data(args) -> int:
         ds = generate_paired_dataset(spec)
     except DatasetError as exc:
         raise CliError(EXIT_INVALID, f"invalid gen spec: {exc}") from exc
-    save_dataset(ds, args.out)
+    coreset.write_then_replace(args.out, lambda tmp: save_dataset(ds, tmp))
     print(f"wrote {args.out} n={ds.n} dim={ds.dim} classes={ds.num_classes}")
     return EXIT_OK
 
@@ -192,12 +192,13 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- schedule
 
 def cmd_schedule(args) -> int:
-    try:
-        rows = phase_table(args.tau_cos, args.epochs)
-    except SchedulerError as exc:
-        raise CliError(EXIT_INVALID, str(exc)) from exc
+    if args.epochs < 0:
+        raise CliError(EXIT_INVALID, "epochs must be >= 0")
+    if args.tau_cos < 1:
+        raise CliError(EXIT_INVALID, "tau_cos must be >= 1")
     print("epoch,phase,rho_cur")
-    for epoch, phase in rows:
+    for epoch in range(args.epochs):
+        phase = round_phase(epoch, 0, args.tau_cos)
         print(f"{epoch},{phase.name},{_fmt(phase.rho_cur)}")
     return EXIT_OK
 

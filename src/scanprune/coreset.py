@@ -9,6 +9,7 @@ is the coreset.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import re
@@ -66,16 +67,22 @@ def write_ids(path, header: str, ids) -> None:
         fh.writelines(f"{sid}\n" for sid in ids)
 
 
-def save_coreset(ids, n: int, rho: float, runs: tuple[str, str], path) -> None:
-    """Write the coreset beside ``path`` and move it in with ``os.replace``, so a
-    write that fails partway leaves ``path`` as it was, never a short id list."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def write_then_replace(path, write) -> None:
+    """``write(tmp)`` to a temporary file beside ``path``, then ``os.replace`` it onto
+    ``path``: a write that fails partway leaves ``path`` as it was, and no temporary file."""
+    if Path(path).is_dir():  # the error open(path) gives; "." has no name to put ".tmp" after
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    tmp = Path(f"{path}.tmp")
     try:
-        write_ids(tmp, f"n={n} rho={rho} runs={runs[0]},{runs[1]}", ids)
+        write(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def save_coreset(ids, n: int, rho: float, runs: tuple[str, str], path) -> None:
+    """Write the coreset file by :func:`write_then_replace`, never a short id list."""
+    write_then_replace(path, lambda tmp: write_ids(tmp, f"n={n} rho={rho} runs={runs[0]},{runs[1]}", ids))
 
 
 _HEADER = re.compile(r"# n=(\d+) rho=(\S+) runs=")

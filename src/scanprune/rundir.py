@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 
-from scanprune.coreset import write_ids
+from scanprune.coreset import write_ids, write_then_replace
 from scanprune.pruner import CandidateSet, PrunerError, Tag
 from scanprune.trainer import EpochRecord, RunResult, TrainConfig, TrainerError, read_metrics, write_metrics
 
@@ -90,10 +89,7 @@ def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, resu
         "out_dir": str(out),
         "artifacts": sorted(artifacts),
     }
-    tmp = out / (MANIFEST + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    os.replace(tmp, out / MANIFEST)
+    write_then_replace(out / MANIFEST, lambda tmp: tmp.write_text(json.dumps(manifest, indent=2)))
     return manifest
 
 

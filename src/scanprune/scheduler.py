@@ -89,11 +89,3 @@ def round_phase(epoch: int, warmup_end: int | None, tau_cos: int) -> Phase:
         return Phase(PhaseKind.PREPARE)
     return Phase(PhaseKind.MUTATE, mutation_ratio(offset, tau_cos))
 
-
-def phase_table(tau_cos: int, epochs: int):
-    """Post-warm-up phase sequence for ``epochs`` epochs starting at a Prepare."""
-    if epochs < 0:
-        raise SchedulerError("epochs must be >= 0")
-    if tau_cos < 1:  # round_phase checks it too, but is not called when epochs is 0
-        raise SchedulerError("tau_cos must be >= 1")
-    return [(e, round_phase(e, 0, tau_cos)) for e in range(epochs)]

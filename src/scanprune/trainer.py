@@ -178,18 +178,19 @@ def _run_epoch(params, a, b, order, cfg, keep_tables: bool):
     return sum_fg / len(order), sum_gf / len(order), len(starts), tables
 
 
-def _train(ds: PairedDataset, cfg: TrainConfig, active_ids, label: str | None = None) -> RunResult:
+def _train(ds: PairedDataset, cfg: TrainConfig, active_ids=None, label: str | None = None) -> RunResult:
     """The epoch loop every method shares.
 
-    ``active_ids(epoch, phase, result)`` returns the sorted ids the epoch
-    trains on.  Scan (``label`` None) names epochs by phase and collects
-    candidates at Prepare epochs; a baseline names its post-warm-up epochs
-    ``label`` and records a mutation ratio of 0.
+    Scan (no ``active_ids``) trains on all n samples, collects candidates at
+    Prepare epochs and, at Mutate epochs, excludes a draw from the last
+    candidate set.  A baseline gives ``active_ids(epoch, phase)``, the sorted
+    ids each epoch trains on, names its post-warm-up epochs ``label`` and
+    records a mutation ratio of 0.
     """
     cfg.validate()
     if ds.n == 0:
         raise TrainerError("dataset is empty")
-    scan = label is None
+    scan = active_ids is None
     a, b = _views(ds, cfg)
     params = init_params(ds.dim, cfg.out_dim, cfg.seed, mlp=cfg.mlp, hidden_dim=cfg.hidden_dim)
     result = RunResult(params=params, records=[])
@@ -199,7 +200,17 @@ def _train(ds: PairedDataset, cfg: TrainConfig, active_ids, label: str | None = 
     for epoch in range(cfg.tau_stop):
         t0 = time.perf_counter()
         phase = round_phase(epoch, warmup_end(losses, cfg.t_td, cfg.epsilon, cfg.tau_stop), cfg.tau_cos)
-        order = _shuffle_rng(cfg.seed, epoch).permutation(active_ids(epoch, phase, result))
+        if not scan:
+            active = active_ids(epoch, phase)
+        elif phase.kind is PhaseKind.MUTATE:  # round_phase opens every round with a Prepare
+            tb = time.process_time()
+            excluded = sample_pruned(history[-1], phase.rho_cur, _derived_seed(cfg.seed, epoch, 1))
+            active = active_indices(ds.n, excluded)
+            result.bookkeep_ms += (time.process_time() - tb) * 1e3
+            result.exclusions[epoch] = excluded.tolist()
+        else:
+            active = np.arange(ds.n)
+        order = _shuffle_rng(cfg.seed, epoch).permutation(active)
         collect = scan and phase.kind is PhaseKind.PREPARE
         mean_fg, mean_gf, batches, tables = _run_epoch(params, a, b, order, cfg, collect)
         if collect:
@@ -228,37 +239,24 @@ def _train(ds: PairedDataset, cfg: TrainConfig, active_ids, label: str | None = 
 
 def train_scan(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
     """Warm-up, then rounds of candidate preparation and cosine-ramp pruning."""
-
-    def active_ids(epoch: int, phase, result: RunResult):
-        if phase.kind is not PhaseKind.MUTATE:
-            return np.arange(ds.n)
-        if not result.candidate_history:
-            raise TrainerError("mutation epoch without a candidate set")
-        tb = time.process_time()
-        excluded = sample_pruned(result.candidate_history[-1], phase.rho_cur,
-                                 _derived_seed(cfg.seed, epoch, 1))
-        active = active_indices(ds.n, excluded)
-        result.bookkeep_ms += (time.process_time() - tb) * 1e3
-        result.exclusions[epoch] = excluded.tolist()
-        return active
-
-    return _train(ds, cfg, active_ids)
+    return _train(ds, cfg)
 
 
 def train_full(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
     """Every epoch trains on all n samples."""
-    return _train(ds, cfg, lambda epoch, phase, result: np.arange(ds.n), "Full")
+    return _train(ds, cfg, lambda epoch, phase: np.arange(ds.n), "Full")
 
 
 def train_random_baseline(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
     """Post-warm-up epochs uniformly drop floor(rho * n) samples, redrawn each epoch."""
+    cfg.validate()  # before rho is read
+    drop = int(cfg.rho * ds.n + 1e-9)
 
-    def active_ids(epoch: int, phase, result: RunResult):
-        keep = np.ones(ds.n, dtype=bool)
-        drop = int(cfg.rho * ds.n + 1e-9)
-        if phase.kind is not PhaseKind.WARMUP and drop > 0:
-            keep[_shuffle_rng(cfg.seed, epoch, stream=3).choice(ds.n, size=drop, replace=False)] = False
-        return np.flatnonzero(keep)
+    def active_ids(epoch: int, phase):
+        if phase.kind is PhaseKind.WARMUP or drop == 0:
+            return np.arange(ds.n)
+        rng = _shuffle_rng(cfg.seed, epoch, stream=3)
+        return active_indices(ds.n, rng.choice(ds.n, size=drop, replace=False))
 
     return _train(ds, cfg, active_ids, "Random")
 
@@ -272,7 +270,7 @@ def train_static_coreset(ds: PairedDataset, coreset_ids, cfg: TrainConfig) -> Ru
         raise TrainerError("coreset ids out of range")
     if (ids[1:] == ids[:-1]).any():
         raise TrainerError("coreset ids must be distinct")
-    return _train(ds, cfg, lambda epoch, phase, result: ids, "Static")
+    return _train(ds, cfg, lambda epoch, phase: ids, "Static")
 
 
 def linear_probe(params: EncoderParams, ds: PairedDataset, probe_seed: int) -> float:

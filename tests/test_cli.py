@@ -1,9 +1,12 @@
+import contextlib
 import json
 import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -182,9 +185,40 @@ def test_model_too_large_to_allocate_exits_4(data_file, tmp_path, capsys):
 def test_schedule_negative_epochs_exit_4(capsys):
     assert main(["schedule", "--tau-cos", "3", "--epochs", "-1"]) == 4
     captured = capsys.readouterr()
-    assert captured.out == "" and "epochs" in captured.err
+    assert captured.out == "" and "epochs must be >= 0" in captured.err
     assert main(["schedule", "--tau-cos", "3", "--epochs", "0"]) == 0
     assert capsys.readouterr().out == "epoch,phase,rho_cur\n"
+    # rejected even though no row would be printed
+    assert main(["schedule", "--tau-cos", "0", "--epochs", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tau_cos must be >= 1" in captured.err
+
+
+class _LineCounter:
+    """A stdout that keeps only the number of lines written to it."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_schedule_streams_its_rows():
+    # each row is printed as it is made: a table built first would peak near 10 MB here
+    sink = _LineCounter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["schedule", "--tau-cos", "3", "--epochs", "50000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == 1 + 50000
+    assert peak < 1 << 20, peak
 
 
 def test_invalid_numbers_exit_4_before_training(data_file, tmp_path, capsys):
@@ -257,6 +291,22 @@ def test_config_file_rejects_unknown_key(data_file, tmp_path):
     cfg.write_text("learning_rate = 0.1\n")
     assert main(["train", "--config", str(cfg), "--data", str(data_file),
                  "--out", str(tmp_path / "run")]) == 4
+
+
+def test_config_line_without_equals_exit_4(data_file, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# comment\nlr 0.1\n")
+    out = tmp_path / "run"
+    assert _train(data_file, out, "--config", str(cfg)) == 4
+    assert "bad config line 2: 'lr 0.1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_static_without_coreset_exit_4(data_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert _train(data_file, out, "--method", "static") == 4
+    assert "--coreset is required for method=static" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point(tmp_path):
@@ -354,6 +404,23 @@ def test_hidden_dim_without_mlp_exit_4(data_file, tmp_path, capsys):
         assert "invalid config" in err and "hidden_dim" in err and "mlp" in err, extra
         assert not out.exists()
     assert _train(data_file, tmp_path / "mlp", "--config", str(cfg), "--mlp") == 0
+
+
+@pytest.mark.parametrize("case", ["cut inside the header", "version 2"])
+def test_compare_checkpoint_header_cut_or_of_another_version_exit_4(data_file, tmp_path, capsys, case):
+    run = tmp_path / "run"
+    assert _train(data_file, run) == 0
+    ckpt = run / "checkpoint.bin"
+    raw = ckpt.read_bytes()
+    # header: magic, then 20 bytes of u32 version, is_mlp, dim, hidden, out_dim
+    bad, message = {"cut inside the header": (raw[:4 + 13], "truncated header"),
+                    "version 2": (raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported version 2")}[case]
+    ckpt.write_bytes(bad)
+    capsys.readouterr()
+    assert main(["compare", "--runs", str(run), "--data", str(data_file)]) == 4
+    captured = capsys.readouterr()
+    assert "cannot probe" in captured.err and message in captured.err
+    assert captured.out == ""
 
 
 def test_compare_checkpoint_header_of_no_model_exit_4(data_file, tmp_path, capsys):
@@ -462,6 +529,34 @@ def test_export_coreset_rejects_run_that_is_not_scan(data_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho", ["0", "1", "nan"])
+def test_export_coreset_rho_outside_0_1_exit_4(data_file, tmp_path, capsys, rho):
+    ra, rb, out = tmp_path / "ra", tmp_path / "rb", tmp_path / "coreset.txt"
+    assert _train(data_file, ra, "--seed", "1") == 0
+    assert _train(data_file, rb, "--seed", "2") == 0
+    capsys.readouterr()
+    assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb), "--rho", rho,
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "rho must lie in (0, 1)" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_export_coreset_from_corpora_of_different_n_exit_4(data_file, tmp_path, capsys):
+    other = tmp_path / "other.bin"
+    assert main(["gen-data", "--n", "80", "--dim", "8", "--num-classes", "4", "--seed", "3",
+                 "--out", str(other)]) == 0
+    ra, rb, out = tmp_path / "ra", tmp_path / "rb", tmp_path / "coreset.txt"
+    assert _train(data_file, ra, "--seed", "1") == 0
+    assert _train(other, rb, "--seed", "2") == 0
+    capsys.readouterr()
+    assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb), "--rho", "0.25",
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "dataset sizes differ: 64 vs 80" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_export_coreset_out_is_a_directory_exit_4(tmp_path, capsys):
     # rejected before either run is read, so the missing runs do not matter
     assert main(["export-coreset", "--run-a", str(tmp_path / "ghost-a"),
@@ -506,6 +601,52 @@ def test_failed_train_leaves_no_run(data_file, tmp_path, monkeypatch, reuse):
     assert main(["compare", "--runs", str(run)]) == 3
 
 
+def test_failed_manifest_write_leaves_no_manifest(data_file, tmp_path, monkeypatch):
+    run = tmp_path / "run"
+    real = Path.write_text
+
+    def half_then_disk_full(self, text, *args, **kwargs):
+        real(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_then_disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        _train(data_file, run)
+    monkeypatch.undo()
+    assert not list(run.glob("manifest.json*"))
+    assert main(["compare", "--runs", str(run)]) == 3
+
+
+def test_failed_gen_data_leaves_the_old_corpus(data_file, tmp_path, monkeypatch):
+    old = data_file.read_bytes()
+
+    def header_then_disk_full(ds, path):
+        Path(path).write_bytes(old[:20])
+        raise OSError("disk full")
+
+    monkeypatch.setattr("scanprune.cli.save_dataset", header_then_disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        main(["gen-data", "--n", "80", "--dim", "8", "--num-classes", "4", "--out", str(data_file)])
+    assert data_file.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.bin"]
+
+
+def test_failed_export_leaves_the_old_coreset(data_file, tmp_path, monkeypatch):
+    cs = _export(data_file, tmp_path)
+    old = cs.read_bytes()
+
+    def header_then_disk_full(path, header, ids):
+        Path(path).write_text(f"# {header}\n0\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("scanprune.coreset.write_ids", header_then_disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        main(["export-coreset", "--run-a", str(tmp_path / "ra"), "--run-b", str(tmp_path / "rb"),
+              "--rho", "0.3", "--out", str(cs)])
+    assert cs.read_bytes() == old
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_compare_reads_only_listed_files(data_file, tmp_path, capsys):
     run = tmp_path / "run"
     assert _train(data_file, run) == 0
@@ -539,7 +680,7 @@ def test_undecodable_files_exit_4(data_file, tmp_path, capsys):
     assert not (tmp_path / "run2").exists() and not (tmp_path / "run3").exists()
 
 
-def test_directory_or_file_in_the_wrong_place_exit_3(data_file, tmp_path):
+def test_directory_or_file_in_the_wrong_place_exit_3(data_file, tmp_path, monkeypatch):
     assert main(["compare", "--runs", str(data_file)]) == 3  # a run that is a file
     run = tmp_path / "run"
     assert _train(data_file, run) == 0
@@ -547,6 +688,10 @@ def test_directory_or_file_in_the_wrong_place_exit_3(data_file, tmp_path):
     assert _train(tmp_path, tmp_path / "x") == 3
     assert _train(data_file, tmp_path / "x", "--config", str(tmp_path)) == 3
     assert _train(data_file, tmp_path / "x", "--method", "static", "--coreset", str(tmp_path)) == 3
+    monkeypatch.chdir(tmp_path)
+    for out in (str(tmp_path), ".", ""):  # "." and "" have no name for a temporary file beside them
+        assert main(["gen-data", "--n", "8", "--dim", "2", "--num-classes", "2", "--out", out]) == 3, out
+    assert not list(tmp_path.parent.glob("*.tmp")) and not list(tmp_path.glob("*.tmp"))
 
 
 def test_train_out_under_a_file_exits_4_before_training(data_file, tmp_path, monkeypatch, capsys):

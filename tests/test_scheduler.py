@@ -8,7 +8,6 @@ from scanprune.scheduler import (
     Phase,
     PhaseKind,
     SchedulerError,
-    phase_table,
     round_phase,
     should_start_pruning,
     warmup_cap,
@@ -103,15 +102,6 @@ def test_phase_periodicity():
     kinds = [round_phase(epoch, 2, 3).kind for epoch in range(2, 14)]
     assert kinds == [PhaseKind.PREPARE, PhaseKind.MUTATE, PhaseKind.MUTATE, PhaseKind.MUTATE] * 3
     assert [round_phase(epoch, 2, 3).kind for epoch in range(2)] == [PhaseKind.WARMUP] * 2
-
-
-def test_phase_table():
-    rows = phase_table(3, 8)
-    assert [round(ph.rho_cur, 12) for _, ph in rows] == [0, 0.25, 0.75, 1.0, 0, 0.25, 0.75, 1.0]
-    assert [ph.kind for _, ph in rows[:4]] == [
-        PhaseKind.PREPARE, PhaseKind.MUTATE, PhaseKind.MUTATE, PhaseKind.MUTATE]
-    with pytest.raises(SchedulerError):
-        phase_table(0, 0)  # rejected even though no row is built
 
 
 def test_round_phase_rejects_bad_tau_cos():

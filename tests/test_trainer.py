@@ -22,9 +22,10 @@ from scanprune import (
     train_static_coreset,
 )
 from scanprune import blas, trainer
+from scanprune.cli import main
 from scanprune.encoder import Tower, encode
 from scanprune.infonce import gradients
-from scanprune.scheduler import phase_table, warmup_cap
+from scanprune.scheduler import round_phase, warmup_cap
 from scanprune.trainer import (
     CheckpointError,
     TrainerError,
@@ -62,13 +63,17 @@ def test_phase_sequence_earliest_pruning():
 
 
 @pytest.mark.parametrize("t_td", [0.0, 0.3, 1.0])
-def test_training_follows_the_schedule_table(t_td):
-    # `scan schedule` prints phase_table; after warm-up, training runs its rows
+def test_training_follows_the_schedule_table(t_td, capsys):
+    # after warm-up, training runs the rows `scan schedule` prints
     cfg = _cfg(t_td=t_td, tau_stop=14)
     records = train_scan(_ds(), cfg).records
     w = next(i for i, r in enumerate(records) if r.phase != "WarmUp")
-    rows = phase_table(cfg.tau_cos, cfg.tau_stop - w)
-    assert [(r.phase, r.rho_cur) for r in records[w:]] == [(ph.name, ph.rho_cur) for _, ph in rows]
+    capsys.readouterr()
+    assert main(["schedule", "--tau-cos", str(cfg.tau_cos), "--epochs", str(cfg.tau_stop - w)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [f"{r.epoch - w},{r.phase},{r.rho_cur:.6g}" for r in records[w:]] == rows
+    assert [r.rho_cur for r in records[w:]] == [round_phase(r.epoch - w, 0, cfg.tau_cos).rho_cur
+                                                for r in records[w:]]  # exact, not only to 6 digits
     if t_td == 0.0:
         assert w == warmup_cap(cfg.tau_stop)  # the loss never rises, so only the cap ends warm-up
 

@@ -22,6 +22,8 @@ checkout) and a ``diff`` of the two files.  It covers:
   exits ``t_td=1.0`` never reaches: ``t_td=0.0``, where warm-up ends at the
   cap (epoch 4), and ``t_td=0.0045``, where the loss-drop rule fires at
   epoch 3;
+- ``train_random_baseline`` where floor(rho * n) is 0 (n=8, rho=0.1), so no
+  epoch drops a sample;
 - the corpus file ``save_dataset`` writes at linear-wide's shape (n=20000,
   dim 32) and probe-mlp's (n=2000, dim 128), and the arrays ``load_dataset``
   reads back from it;
@@ -29,7 +31,8 @@ checkout) and a ``diff`` of the two files.  It covers:
   corpus: the corpus, every artifact each manifest lists (``metrics.jsonl``
   without ``wall_ms``), the ``export-coreset`` file, the ``scan compare
   --data`` rows without ``wall_ms`` and the ``scan schedule`` tables
-  (``--tau-cos`` 3, 1, 2 and 5, and the header-only ``--epochs 0``);
+  (``--tau-cos`` 3, 1, 2 and 5, the header-only ``--epochs 0`` and
+  ``--tau-cos 3 --epochs 100000``);
 - the corpus of a ``gen-data`` given only its required flags (seed from an
   unset ``SCAN_SEED``), and the manifest and checkpoint of a ``train --config``
   run whose file sets every ``TrainConfig`` key.
@@ -134,6 +137,13 @@ def warmup_exit_shas(sp, tmp: Path) -> dict[str, str]:
     return out
 
 
+def no_drop_shas(sp, tmp: Path) -> dict[str, str]:
+    """``train_random_baseline`` on a corpus too small for rho to drop a sample."""
+    ds = _corpus(sp, 8, 4)
+    cfg = sp.TrainConfig(rho=0.1, tau_cos=2, tau_stop=6, t_td=1.0, batch_size=4, out_dim=2, seed=3)
+    return _run_shas(sp, tmp, "n8_rho0.1/train_random_baseline", sp.train_random_baseline(ds, cfg), ds)
+
+
 def corpus_shas(sp, tmp: Path) -> dict[str, str]:
     """The corpus file and its reload at the shapes the benchmark's ``setup_s`` times."""
     out = {}
@@ -200,6 +210,7 @@ def cli_shas(main) -> dict[str, str]:
         table = run("schedule", "--tau-cos", tau_cos, "--epochs", "13")
         out[f"cli/schedule_tau_cos{tau_cos}"] = _sha(table.encode())
     out["cli/schedule_epochs0"] = _sha(run("schedule", "--tau-cos", "3", "--epochs", "0").encode())
+    out["cli/schedule_epochs100000"] = _sha(run("schedule", "--tau-cos", "3", "--epochs", "100000").encode())
 
     run("gen-data", "--n", "600", "--dim", "16", "--num-classes", "6", "--out", "defaults.bin")
     out["cli/defaults.bin"] = _sha(Path("defaults.bin").read_bytes())
@@ -228,6 +239,7 @@ def main() -> int:
         shas.update(library_shas(sp, Path(tmp)))
         shas.update(bench_shape_shas(sp, Path(tmp)))
         shas.update(warmup_exit_shas(sp, Path(tmp)))
+        shas.update(no_drop_shas(sp, Path(tmp)))
         shas.update(corpus_shas(sp, Path(tmp)))
         cwd = os.getcwd()
         os.chdir(tmp)
