@@ -1,7 +1,8 @@
 """Command-line entry point: gen-data, train, schedule, export-coreset, compare.
 
 Every command is a single process with no daemon state.  Exit codes: 2 bad
-flags, 3 missing file, 4 invalid config or data, or out of memory.
+flags, 3 a path the OS cannot open, read or write (a failed write leaves no
+partial file), 4 invalid config or data, or out of memory.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from scanprune.trainer import (
 )
 
 EXIT_OK = 0
-EXIT_MISSING_FILE = 3
+EXIT_OS = 3
 EXIT_INVALID = 4
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A command's flags, config or data are invalid: exits 4."""
 
 
 def _fmt(x) -> str:
@@ -55,7 +54,7 @@ def _default_seed() -> int:
             return int(raw)
     except ValueError:
         pass
-    raise CliError(EXIT_INVALID, f"SCAN_SEED must be a non-negative integer, got {raw!r}")
+    raise CliError(f"SCAN_SEED must be a non-negative integer, got {raw!r}")
 
 
 # ------------------------------------------------- TrainConfig and GenSpec
@@ -109,22 +108,22 @@ def _load_config_file(path: str) -> dict:
         with open(path) as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
-        raise CliError(EXIT_INVALID, f"bad config file {path}: {exc}") from exc
+        raise CliError(f"bad config file {path}: {exc}") from exc
     values: dict = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError(EXIT_INVALID, f"bad config line {lineno}: {line!r}")
+            raise CliError(f"bad config line {lineno}: {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in types:
-            raise CliError(EXIT_INVALID, f"unknown config key: {key}")
+            raise CliError(f"unknown config key: {key}")
         try:
             values[key] = _FIELD_TYPES[types[key]][0](raw)
         except ValueError as exc:
-            raise CliError(EXIT_INVALID, f"bad value for {key}: {raw!r}") from exc
+            raise CliError(f"bad value for {key}: {raw!r}") from exc
     return values
 
 
@@ -133,7 +132,7 @@ def _read_dataset(path: str):
     try:
         ds = load_dataset(path)
     except DatasetError as exc:
-        raise CliError(EXIT_INVALID, f"bad dataset file: {exc}") from exc
+        raise CliError(f"bad dataset file: {exc}") from exc
     return ds, rundir.sha256(path)
 
 
@@ -145,7 +144,7 @@ def cmd_gen_data(args) -> int:
         spec.validate()
         ds = generate_paired_dataset(spec)
     except DatasetError as exc:
-        raise CliError(EXIT_INVALID, f"invalid gen spec: {exc}") from exc
+        raise CliError(f"invalid gen spec: {exc}") from exc
     coreset.write_then_replace(args.out, lambda tmp: save_dataset(ds, tmp))
     print(f"wrote {args.out} n={ds.n} dim={ds.dim} classes={ds.num_classes}")
     return EXIT_OK
@@ -158,7 +157,7 @@ def cmd_train(args) -> int:
     try:
         cfg.validate()
     except TrainerError as exc:
-        raise CliError(EXIT_INVALID, f"invalid config: {exc}") from exc
+        raise CliError(f"invalid config: {exc}") from exc
     ds, data_sha = _read_dataset(args.data)
     if cfg.mlp and cfg.hidden_dim is None:
         # the width init_params gives the hidden layer, so the manifest records it
@@ -166,11 +165,11 @@ def cmd_train(args) -> int:
 
     if args.method == "static":
         if not args.coreset:
-            raise CliError(EXIT_INVALID, "--coreset is required for method=static")
+            raise CliError("--coreset is required for method=static")
         try:
             coreset_ids = load_coreset(args.coreset, n=ds.n)
         except CoresetError as exc:
-            raise CliError(EXIT_INVALID, f"bad coreset file: {exc}") from exc
+            raise CliError(f"bad coreset file: {exc}") from exc
 
     rundir.check_out(args.out)
     trainers = {"scan": train_scan, "full": train_full, "random": train_random_baseline}
@@ -180,7 +179,7 @@ def cmd_train(args) -> int:
         else:
             result = trainers[args.method](ds, cfg)
     except TrainerError as exc:
-        raise CliError(EXIT_INVALID, f"training failed: {exc}") from exc
+        raise CliError(f"training failed: {exc}") from exc
 
     # Written only after training, so a failed run leaves no directory behind.
     manifest = rundir.write_run(args.out, args.method, cfg, args.data, data_sha, result, ds.n, save_checkpoint)
@@ -193,9 +192,9 @@ def cmd_train(args) -> int:
 
 def cmd_schedule(args) -> int:
     if args.epochs < 0:
-        raise CliError(EXIT_INVALID, "epochs must be >= 0")
+        raise CliError("epochs must be >= 0")
     if args.tau_cos < 1:
-        raise CliError(EXIT_INVALID, "tau_cos must be >= 1")
+        raise CliError("tau_cos must be >= 1")
     print("epoch,phase,rho_cur")
     for epoch in range(args.epochs):
         phase = round_phase(epoch, 0, args.tau_cos)
@@ -207,13 +206,13 @@ def cmd_schedule(args) -> int:
 
 def cmd_export_coreset(args) -> int:
     if Path(args.out).is_dir():
-        raise CliError(EXIT_INVALID, f"--out is a directory: {args.out}")
+        raise CliError(f"--out is a directory: {args.out}")
     a, b = (PrunedSummary.from_candidates(run, *rundir.read_candidates(run))
             for run in (args.run_a, args.run_b))
     try:
         ids = export_coreset(a, b, args.rho)
     except CoresetError as exc:
-        raise CliError(EXIT_INVALID, str(exc)) from exc
+        raise CliError(str(exc)) from exc
     save_coreset(ids, a.n, args.rho, (args.run_a, args.run_b), args.out)
     print(f"wrote {args.out} |coreset|={len(ids)} of n={a.n}")
     return EXIT_OK
@@ -223,10 +222,10 @@ def cmd_export_coreset(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.probe_seed < 0:
-        raise CliError(EXIT_INVALID, f"--probe-seed must be >= 0, got {args.probe_seed}")
+        raise CliError(f"--probe-seed must be >= 0, got {args.probe_seed}")
     runs = args.runs.split(",")
     if not all(runs):
-        raise CliError(EXIT_INVALID, f"--runs has an empty entry: {args.runs!r}")
+        raise CliError(f"--runs has an empty entry: {args.runs!r}")
     ds = None
     if args.data:
         ds, data_sha = _read_dataset(args.data)
@@ -240,12 +239,11 @@ def cmd_compare(args) -> int:
             try:
                 params = load_checkpoint(rundir.listed(run, manifest, rundir.CHECKPOINT))
                 if params.dim != ds.dim:
-                    raise CliError(EXIT_INVALID, f"{run}: checkpoint dim {params.dim} "
-                                                 f"differs from dataset dim {ds.dim}")
+                    raise CliError(f"{run}: checkpoint dim {params.dim} differs from dataset dim {ds.dim}")
                 rundir.check_dataset(run, manifest, data_sha)
                 probe = linear_probe(params, ds, args.probe_seed)
             except TrainerError as exc:
-                raise CliError(EXIT_INVALID, f"cannot probe {run}: {exc}") from exc
+                raise CliError(f"cannot probe {run}: {exc}") from exc
         rows.append((manifest["method"], run, probe, mean_samples, wall))
     print(f"{'method':<8} {'run':<24} {'probe_acc':>10} {'mean_samples':>13} {'wall_ms':>10}")
     for method, run, probe, mean_samples, wall in rows:
@@ -303,14 +301,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        return _fail(exc.code, exc)
-    except rundir.RunDirError as exc:
+    except (CliError, rundir.RunDirError) as exc:
         return _fail(EXIT_INVALID, exc)
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        return _fail(EXIT_MISSING_FILE, exc)
     except MemoryError as exc:
         return _fail(EXIT_INVALID, f"out of memory: {exc}")
+    except OSError as exc:  # a path the OS cannot open, read or write
+        return _fail(EXIT_OS, exc)
 
 
 if __name__ == "__main__":

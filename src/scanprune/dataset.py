@@ -1,4 +1,5 @@
-"""Synthetic paired corpora with planted corruptions, plus a binary file format.
+"""Synthetic paired corpora with planted corruptions, and the binary frame of
+the dataset and checkpoint files.
 
 Each sample is a pair of vectors (view A, view B) drawn around a shared class
 prototype.  Corruptions are planted at generation time so that pruning quality
@@ -13,6 +14,7 @@ so equal seeds reproduce bit-identical datasets.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -227,62 +229,64 @@ def generate_paired_dataset(spec: GenSpec) -> PairedDataset:
     return ds
 
 
-def save_dataset(ds: PairedDataset, path) -> None:
-    """Write the little-endian binary format (magic SCND, version 1)."""
-    ds.validate()
+def write_frame(path, magic: bytes, header, arrays) -> None:
+    """Write ``magic``, the u32 ``header`` fields (version first), then each
+    array from its own buffer, with no bytes copy; arrays come C-contiguous in
+    their little-endian file dtype."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, ds.n, ds.dim))
-        fh.write(struct.pack("<I", ds.num_classes))
-        # Each array's buffer is written as it is, with no bytes copy.
-        fh.write(np.ascontiguousarray(ds.view_a, dtype="<f4"))
-        fh.write(np.ascontiguousarray(ds.view_b, dtype="<f4"))
-        fh.write(np.ascontiguousarray(ds.labels, dtype="<u4"))
-        fh.write(np.ascontiguousarray(ds.corruption, dtype="u1"))
+        fh.write(magic)
+        fh.write(struct.pack(f"<{len(header)}I", *header))
+        for a in arrays:
+            fh.write(a)
 
 
-def _read_exact(fh, count: int) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise TruncatedFileError(f"expected {count} bytes, got {len(buf)}")
-    return buf
+def read_frame(path, magic: bytes, version: int, fields: int, layout):
+    """The ``fields`` u32 header fields after the version, and the arrays by name.
+
+    ``layout(*header)`` maps each name to its ``(shape, dtype)`` in file order.
+    The size it declares is checked against the file's before anything is
+    allocated, so a corrupt header cannot ask for an impossible allocation.
+    Each failure raises its DatasetError subclass.
+    """
+    with open(path, "rb") as fh:
+        got = fh.read(len(magic))
+        if got != magic:
+            raise BadMagicError(f"bad magic {got!r}")
+        raw = fh.read(4 * (1 + fields))
+        if len(raw) != 4 * (1 + fields):
+            raise TruncatedFileError(f"truncated header: expected {4 * (1 + fields)} bytes, got {len(raw)}")
+        file_version, *header = struct.unpack(f"<{1 + fields}I", raw)
+        if file_version != version:
+            raise VersionMismatchError(f"unsupported version {file_version}")
+        specs = layout(*header)
+        size = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs.values())
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != left:
+            error, kind = (TruncatedFileError, "truncated") if size > left else (OverlongFileError, "overlong")
+            raise error(f"{kind}: header declares {size} bytes after it (fields {header}), the file has {left}")
+        arrays = {name: np.empty(shape, dtype) for name, (shape, dtype) in specs.items()}
+        if sum(fh.readinto(a) for a in arrays.values()) != size:  # the file shrank as it was read
+            raise TruncatedFileError(f"truncated: {path} ended before its last array")
+    return header, arrays
 
 
-def _read_array(fh, shape, dtype) -> np.ndarray:
-    """The next ``shape`` x ``dtype`` values of ``fh``, read straight into their array."""
-    out = np.empty(shape, dtype=dtype)
-    got = fh.readinto(out)
-    if got != out.nbytes:
-        raise TruncatedFileError(f"expected {out.nbytes} bytes, got {got}")
-    return out
+def _layout(n: int, dim: int, num_classes: int) -> dict:
+    """A dataset file's arrays, in file order."""
+    return {"view_a": ((n, dim), "<f4"), "view_b": ((n, dim), "<f4"),
+            "labels": ((n,), "<u4"), "corruption": ((n,), "u1")}
+
+
+def save_dataset(ds: PairedDataset, path) -> None:
+    """The frame ``SCND`` v1: u32 n, dim, num_classes, then the layout's arrays."""
+    ds.validate()
+    write_frame(path, _MAGIC, (_VERSION, ds.n, ds.dim, ds.num_classes),
+                [np.ascontiguousarray(getattr(ds, name), dtype)
+                 for name, (_, dtype) in _layout(ds.n, ds.dim, ds.num_classes).items()])
 
 
 def load_dataset(path) -> PairedDataset:
     """Read a dataset written by :func:`save_dataset`; bit-exact round trip."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}")
-        version, n, dim = struct.unpack("<III", _read_exact(fh, 12))
-        if version != _VERSION:
-            raise VersionMismatchError(f"unsupported version {version}")
-        (num_classes,) = struct.unpack("<I", _read_exact(fh, 4))
-        # Check the declared sizes before reading, so a corrupt header cannot
-        # ask for an impossible allocation.
-        payload = n * (8 * dim + 5)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload > left:
-            raise TruncatedFileError(f"header declares n={n} dim={dim} ({payload} payload bytes), "
-                                     f"file has {left}")
-        if payload < left:
-            raise OverlongFileError(f"overlong: header declares n={n} dim={dim} ({payload} payload "
-                                    f"bytes), file has {left}")
-        ds = PairedDataset(
-            view_a=_read_array(fh, (n, dim), "<f4"),
-            view_b=_read_array(fh, (n, dim), "<f4"),
-            labels=_read_array(fh, n, "<u4"),
-            corruption=_read_array(fh, n, "u1"),
-            num_classes=int(num_classes),
-        )
+    (_, _, num_classes), arrays = read_frame(path, _MAGIC, _VERSION, 3, _layout)
+    ds = PairedDataset(num_classes=num_classes, **arrays)
     ds.validate()
     return ds

@@ -11,15 +11,13 @@ from __future__ import annotations
 import enum
 import json
 import math
-import os
-import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from scanprune import blas
-from scanprune.dataset import PairedDataset
+from scanprune.dataset import DatasetError, PairedDataset, read_frame, write_frame
 from scanprune.encoder import EncoderParams, Tower, encode, init_params, weight_shapes
 from scanprune.infonce import gradients
 from scanprune.pruner import CandidateSet, accumulate, active_indices, batch_candidates, sample_pruned
@@ -381,50 +379,33 @@ def _pairwise_sum(a: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarra
     return out
 
 
+def _checkpoint_layout(is_mlp: int, dim: int, hidden: int, out_dim: int) -> dict:
+    """The f64 weights in ``encoder.WEIGHTS`` order, then ``log_temp``, of a model ``init_params`` can make."""
+    if is_mlp not in (0, 1) or dim < 1 or out_dim < 1 or bool(hidden) != bool(is_mlp):
+        raise CheckpointError(f"header declares no model: is_mlp={is_mlp} dim={dim} "
+                              f"hidden={hidden} out_dim={out_dim}")
+    return {**{name: (shape, "<f8") for name, shape in weight_shapes(dim, out_dim, hidden)},
+            "log_temp": ((1,), "<f8")}
+
+
 def save_checkpoint(params: EncoderParams, path) -> None:
-    """Binary dump: magic SCNP, version, layout dims, f64 LE weights in
-    ``encoder.WEIGHTS`` order, log_temp."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        hidden = params.w_f_hidden.shape[0] if params.is_mlp else 0
-        fh.write(struct.pack("<IIIII", CHECKPOINT_VERSION, int(params.is_mlp),
-                             params.dim, hidden, params.out_dim))
-        for _, w in params.weights():
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", params.log_temp))
+    """The frame ``SCNP`` v1: u32 is_mlp, dim, hidden (0 if linear), out_dim, then the layout's arrays."""
+    header = (int(params.is_mlp), params.dim, params.w_f_hidden.shape[0] if params.is_mlp else 0,
+              params.out_dim)
+    write_frame(path, CHECKPOINT_MAGIC, (CHECKPOINT_VERSION, *header),
+                [np.ascontiguousarray(getattr(params, name), dtype)
+                 for name, (_, dtype) in _checkpoint_layout(*header).items()])
 
 
 def load_checkpoint(path) -> EncoderParams:
-    """Read a checkpoint written by :func:`save_checkpoint`.
-
-    A header that declares no model ``init_params`` can make, or a file whose
-    size differs from what the header declares, raises CheckpointError.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}")
-        header = fh.read(20)
-        if len(header) != 20:
-            raise CheckpointError("truncated header")
-        version, is_mlp, dim, hidden, out_dim = struct.unpack("<IIIII", header)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported version {version}")
-        if is_mlp not in (0, 1) or dim < 1 or out_dim < 1 or bool(hidden) != bool(is_mlp):
-            raise CheckpointError(f"header declares no model: is_mlp={is_mlp} dim={dim} "
-                                  f"hidden={hidden} out_dim={out_dim}")
-        # Check the declared sizes before reading, so a corrupt header cannot
-        # ask for an impossible allocation.
-        shapes = weight_shapes(dim, out_dim, hidden)
-        size = 8 * (sum(rows * cols for _, (rows, cols) in shapes) + 1)  # the weights and log_temp
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != left:
-            raise CheckpointError(f"{'truncated' if size > left else 'overlong'}: the header "
-                                  f"declares {size} bytes after it, the file has {left}")
-        mats = {name: np.frombuffer(fh.read(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
-                for name, (rows, cols) in shapes}
-        (log_temp,) = struct.unpack("<d", fh.read(8))
-    return EncoderParams(log_temp=log_temp, **mats)
+    """Read a checkpoint written by :func:`save_checkpoint`; CheckpointError for
+    any file the frame or the layout rejects."""
+    try:
+        _, arrays = read_frame(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 4, _checkpoint_layout)
+    except DatasetError as exc:
+        raise CheckpointError(str(exc)) from exc
+    log_temp = arrays.pop("log_temp")
+    return EncoderParams(log_temp=float(log_temp[0]), **arrays)
 
 
 def write_metrics(records, path) -> None:

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import os
 import random
 import struct
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 from scanprune import load_dataset
 from scanprune.cli import main
 from scanprune.coreset import load_coreset
-from scanprune.dataset import DUPLICATE, MISMATCHED
-from scanprune.trainer import TrainConfig, load_checkpoint, read_metrics
+from scanprune.dataset import DUPLICATE, MISMATCHED, DatasetError
+from scanprune.trainer import CheckpointError, TrainConfig, load_checkpoint, read_metrics
 
 
 @pytest.fixture()
@@ -588,20 +589,20 @@ def _fail_checkpoint(params, path):
 
 
 @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
-def test_failed_train_leaves_no_run(data_file, tmp_path, monkeypatch, reuse):
+def test_failed_train_leaves_no_run(data_file, tmp_path, monkeypatch, capsys, reuse):
     # the manifest is the commit marker: a write that fails after the old
     # manifest is removed leaves a directory no command reads as a run
     run = tmp_path / "run"
     if reuse:
         assert _train(data_file, run) == 0
     monkeypatch.setattr("scanprune.cli.save_checkpoint", _fail_checkpoint)
-    with pytest.raises(OSError, match="disk full"):
-        _train(data_file, run, "--method", "full")
+    assert _train(data_file, run, "--method", "full") == 3
+    assert "disk full" in capsys.readouterr().err
     assert run.is_dir() and not (run / "manifest.json").exists()
     assert main(["compare", "--runs", str(run)]) == 3
 
 
-def test_failed_manifest_write_leaves_no_manifest(data_file, tmp_path, monkeypatch):
+def test_failed_manifest_write_leaves_no_manifest(data_file, tmp_path, monkeypatch, capsys):
     run = tmp_path / "run"
     real = Path.write_text
 
@@ -610,14 +611,14 @@ def test_failed_manifest_write_leaves_no_manifest(data_file, tmp_path, monkeypat
         raise OSError("disk full")
 
     monkeypatch.setattr(Path, "write_text", half_then_disk_full)
-    with pytest.raises(OSError, match="disk full"):
-        _train(data_file, run)
+    assert _train(data_file, run) == 3
+    assert "disk full" in capsys.readouterr().err
     monkeypatch.undo()
     assert not list(run.glob("manifest.json*"))
     assert main(["compare", "--runs", str(run)]) == 3
 
 
-def test_failed_gen_data_leaves_the_old_corpus(data_file, tmp_path, monkeypatch):
+def test_failed_gen_data_leaves_the_old_corpus(data_file, tmp_path, monkeypatch, capsys):
     old = data_file.read_bytes()
 
     def header_then_disk_full(ds, path):
@@ -625,13 +626,13 @@ def test_failed_gen_data_leaves_the_old_corpus(data_file, tmp_path, monkeypatch)
         raise OSError("disk full")
 
     monkeypatch.setattr("scanprune.cli.save_dataset", header_then_disk_full)
-    with pytest.raises(OSError, match="disk full"):
-        main(["gen-data", "--n", "80", "--dim", "8", "--num-classes", "4", "--out", str(data_file)])
+    assert main(["gen-data", "--n", "80", "--dim", "8", "--num-classes", "4", "--out", str(data_file)]) == 3
+    assert "disk full" in capsys.readouterr().err
     assert data_file.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.bin"]
 
 
-def test_failed_export_leaves_the_old_coreset(data_file, tmp_path, monkeypatch):
+def test_failed_export_leaves_the_old_coreset(data_file, tmp_path, monkeypatch, capsys):
     cs = _export(data_file, tmp_path)
     old = cs.read_bytes()
 
@@ -640,9 +641,9 @@ def test_failed_export_leaves_the_old_coreset(data_file, tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr("scanprune.coreset.write_ids", header_then_disk_full)
-    with pytest.raises(OSError, match="disk full"):
-        main(["export-coreset", "--run-a", str(tmp_path / "ra"), "--run-b", str(tmp_path / "rb"),
-              "--rho", "0.3", "--out", str(cs)])
+    assert main(["export-coreset", "--run-a", str(tmp_path / "ra"), "--run-b", str(tmp_path / "rb"),
+                 "--rho", "0.3", "--out", str(cs)]) == 3
+    assert "disk full" in capsys.readouterr().err
     assert cs.read_bytes() == old
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -700,6 +701,59 @@ def test_train_out_under_a_file_exits_4_before_training(data_file, tmp_path, mon
     monkeypatch.setattr("scanprune.cli.train_scan", lambda *a: pytest.fail("trained"))
     assert _train(data_file, taken / "run") == 4
     assert "not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["gen-data", "gen-data <out>.tmp", "train", "export-coreset"])
+def test_out_name_too_long_exits_3(data_file, tmp_path, monkeypatch, capsys, case):
+    # a last component over NAME_MAX; for "<out>.tmp" one that fits, but not with ".tmp" after it
+    if case == "export-coreset":
+        assert _train(data_file, tmp_path / "ra") == 0
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    name_max = os.pathconf(parent, "PC_NAME_MAX")
+    out = str(parent / ("a" * (name_max - 2 if case.endswith(".tmp") else name_max + 45)))
+    argv = {"gen-data": ["gen-data", "--n", "8", "--dim", "2", "--num-classes", "2", "--out", out],
+            "train": ["train", "--data", str(data_file), "--out", out, "--tau-stop", "6"],
+            "export-coreset": ["export-coreset", "--run-a", str(tmp_path / "ra"), "--run-b",
+                               str(tmp_path / "ra"), "--rho", "0.3", "--out", out]}[case.split()[0]]
+    monkeypatch.setattr("scanprune.cli.train_scan", lambda *a: pytest.fail("trained"))
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "File name too long" in capsys.readouterr().err
+    assert not list(parent.iterdir())
+
+
+def _frame_cuts(size: int, header_end: int, arrays: list[int]) -> list[int]:
+    """Every length from 0 to the header's end, and each array boundary and one byte before it."""
+    ends = [header_end + sum(arrays[:k + 1]) for k in range(len(arrays))]
+    return sorted({*range(header_end + 1), *ends, *(e - 1 for e in ends)} - {size})
+
+
+@pytest.mark.parametrize("kind", ["dataset", "linear checkpoint", "mlp checkpoint"])
+def test_cut_or_extended_frame_raises_its_typed_error_and_exits_4(data_file, tmp_path, capsys, kind):
+    run = tmp_path / "run"
+    assert _train(data_file, run, *(("--mlp", "--hidden-dim", "3") if kind == "mlp checkpoint" else ())) == 0
+    compare = ["compare", "--runs", str(run), "--data", str(data_file)]
+    if kind == "dataset":
+        path, load, error, message = data_file, load_dataset, DatasetError, "bad dataset file"
+        header_end, arrays = 20, [64 * 8 * 4, 64 * 8 * 4, 64 * 4, 64]  # n=64, dim=8
+        commands = [["train", "--data", str(path), "--out", str(tmp_path / "x"), "--tau-stop", "6"], compare]
+    else:
+        path, load, error, message = run / "checkpoint.bin", load_checkpoint, CheckpointError, "cannot probe"
+        header_end, arrays = 24, [w.nbytes for _, w in load_checkpoint(path).weights()] + [8]  # + log_temp
+        commands = [compare]
+    raw = path.read_bytes()
+    assert len(raw) == header_end + sum(arrays)
+    cases = [raw[:cut] for cut in _frame_cuts(len(raw), header_end, arrays)] + [raw + b"\0"]
+    for bad in cases:
+        path.write_bytes(bad)
+        with pytest.raises(error):  # neither struct.error nor ValueError, nor a short array
+            load(path)
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 4, (len(bad), argv[0])
+            assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_manifest_hashes_the_dataset_as_it_was_read(data_file, tmp_path, monkeypatch):

@@ -27,6 +27,9 @@ checkout) and a ``diff`` of the two files.  It covers:
 - the corpus file ``save_dataset`` writes at linear-wide's shape (n=20000,
   dim 32) and probe-mlp's (n=2000, dim 128), and the arrays ``load_dataset``
   reads back from it;
+- what ``load_checkpoint`` reads back from the criterion-9 ``train_scan``
+  checkpoint and the probe-mlp-shape one: each weight's name, dtype, shape,
+  flags and bytes, and ``log_temp``'s type and value;
 - one CLI run per ``--method`` (and view_pair and an MLP run) on a 600 x 16
   corpus: the corpus, every artifact each manifest lists (``metrics.jsonl``
   without ``wall_ms``), the ``export-coreset`` file, the ``scan compare
@@ -83,6 +86,16 @@ def _run_shas(sp, tmp: Path, name: str, res, ds) -> dict[str, str]:
     }
 
 
+def _checkpoint_reload_sha(tmp: Path, params) -> str:
+    from scanprune.trainer import load_checkpoint, save_checkpoint
+
+    save_checkpoint(params, tmp / "reload.bin")
+    back = load_checkpoint(tmp / "reload.bin")
+    return _sha(b"".join(
+        f"{name} {w.dtype.str} {w.shape} {w.flags.owndata} {w.flags.writeable} {w.flags.c_contiguous}".encode()
+        + w.tobytes() for name, w in back.weights()) + f"{type(back.log_temp).__name__} {back.log_temp!r}".encode())
+
+
 def library_shas(sp, tmp: Path) -> dict[str, str]:
     from scanprune import trainer
 
@@ -97,6 +110,7 @@ def library_shas(sp, tmp: Path) -> dict[str, str]:
     scan_a = sp.train_scan(ds, cfg)
     scan_b = sp.train_scan(ds, dataclasses.replace(cfg, seed=8))
     record("train_scan", scan_a)
+    out["lib/train_scan/checkpoint_reload"] = _checkpoint_reload_sha(tmp, scan_a.params)
     record("train_full", sp.train_full(ds, cfg))
     record("train_random_baseline", sp.train_random_baseline(ds, cfg))
     record("train_scan_view_pair", sp.train_scan(ds, dataclasses.replace(cfg, mode=sp.Mode.VIEW_PAIR)))
@@ -123,7 +137,9 @@ def bench_shape_shas(sp, tmp: Path) -> dict[str, str]:
     ds = _corpus(sp, 512, 128)
     cfg = sp.TrainConfig(rho=0.3, tau_cos=3, tau_stop=4, t_td=1.0, batch_size=128, lr=0.5, out_dim=2,
                          mlp=True, hidden_dim=1024, seed=3)
-    out.update(_run_shas(sp, tmp, "probe_mlp_shape/train_scan", sp.train_scan(ds, cfg), ds))
+    res = sp.train_scan(ds, cfg)
+    out.update(_run_shas(sp, tmp, "probe_mlp_shape/train_scan", res, ds))
+    out["lib/probe_mlp_shape/train_scan/checkpoint_reload"] = _checkpoint_reload_sha(tmp, res.params)
     return out
 
 
