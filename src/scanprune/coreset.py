@@ -1,10 +1,10 @@
 """Static coreset export from two pruning runs.
 
-Exactly floor(rho * n) ids are removed, ordered by votes (how many of the two
-runs' final candidate sets list the id: the intersection, then the rest of
-the union, then untouched ids), then by summed confidence score (0 where
-unlisted), both highest first, then by id ascending.  The sorted complement
-is the coreset.
+Exactly ``prune_count(rho, n)`` ids are removed, ordered by votes (how many
+of the two runs' final candidate sets list the id: the intersection, then the
+rest of the union, then untouched ids), then by summed confidence score (0
+where unlisted), both highest first, then by id ascending.  The sorted
+complement is the coreset.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scanprune.pruner import CandidateSet, PrunerError
+from scanprune.pruner import CandidateSet, PrunerError, prune_count
 
 
 class CoresetError(Exception):
@@ -56,7 +56,7 @@ def export_coreset(a: PrunedSummary, b: PrunedSummary, rho: float) -> list[int]:
         score[run.candidates.ids] += run.candidates.scores
     order = np.lexsort((np.arange(n), -score, -votes))
     keep = np.ones(n, dtype=bool)
-    keep[order[:int(rho * n + 1e-9)]] = False
+    keep[order[:prune_count(rho, n)]] = False
     return np.flatnonzero(keep).tolist()
 
 
@@ -120,7 +120,7 @@ def load_coreset(path, n: int | None = None) -> list[int]:
             raise CoresetError(f"{path}: bad rho in header: {header[2]!r}")
         if n is not None and declared != n:
             raise CoresetError(f"{path}: header declares n={declared}, the dataset has n={n}")
-        expected = declared - int(rho * declared + 1e-9)
+        expected = declared - prune_count(rho, declared)
         if len(ids) != expected:
             raise CoresetError(f"{path}: header n={declared} rho={rho} means {expected} ids, "
                                f"the file holds {len(ids)}")

@@ -4,9 +4,8 @@ L2-normalized outputs, and a learnable log-temperature.
 All arithmetic is float64 with fixed-order numpy reductions, so forward passes
 are bit-reproducible.  The MLP tanh runs in place on the hidden pre-activations,
 and ``normalize_rows`` hands back the row norms it divided by, so a training
-step computes each tower's norms once; it can write both into the caller's
-buffers.  The temperature is parameterized in log space and clamped to [0.01,
-100] after every update to prevent collapse or overflow.
+step computes the norms once.  The temperature is parameterized in log space
+and clamped to [0.01, 100] after every update to prevent collapse or overflow.
 """
 
 from __future__ import annotations
@@ -144,22 +143,20 @@ def forward_tower(params: EncoderParams, tower: Tower, x: np.ndarray):
     return h @ w_out.T, h
 
 
-def normalize_rows(z: np.ndarray, out: np.ndarray | None = None, norms: np.ndarray | None = None):
-    """L2-normalize rows; exactly-zero rows are passed through and flagged.
+def normalize_rows(z: np.ndarray):
+    """L2-normalize along the last axis, so a stack of matrices bit for bit as
+    each alone; exactly-zero rows are passed through and flagged.
 
     Returns ``(embeddings, zero_rows, divisor)``.  The divisor is each row's
-    norm, computed as ``np.linalg.norm(z, axis=1)`` computes it, or 1.0 on a
-    zero row; the backward pass reuses it.  Given ``out`` (shaped like ``z``)
-    and ``norms`` (one value per row), the embeddings and divisor are written
-    there, so a caller can keep both towers in one buffer per quantity.
+    norm as ``np.linalg.norm(z, axis=-1)`` computes it, or 1.0 on a zero row;
+    the backward pass reuses it.
     """
-    out = np.multiply(z, z, out=out)
-    norms = np.add.reduce(out, axis=1, out=norms)
+    out = z * z
+    norms = np.add.reduce(out, axis=-1)
     np.sqrt(norms, out=norms)
     zero_rows = norms == 0.0
-    if np.count_nonzero(zero_rows):
-        norms[zero_rows] = 1.0
-    np.divide(z, norms[:, None], out=out)
+    norms[zero_rows] = 1.0
+    np.divide(z, norms[..., None], out=out)
     return out, zero_rows, norms
 
 
@@ -169,6 +166,5 @@ def encode(params: EncoderParams, tower: Tower, x: np.ndarray):
     Returns ``(embeddings, zero_rows)`` where ``zero_rows`` flags inputs whose
     pre-normalization output was exactly zero (those rows stay zero).
     """
-    z, _ = forward_tower(params, tower, x)
-    emb, zero_rows, _ = normalize_rows(z)
+    emb, zero_rows, _ = normalize_rows(forward_tower(params, tower, x)[0])
     return emb, zero_rows

@@ -8,9 +8,9 @@ never need a second forward for candidate selection.
 
 The loss pass computes each axis's softmax statistics (max, shifted
 exponentials, their sum) once; the backward reuses those exponentials as the
-softmax, so one training step repeats no reduction over S.  Each tower's row
-norms are computed once, in the forward ``normalize_rows``, and reused as the
-backward divisor.  The step keeps one ``(2, ...)`` buffer per quantity (the
+softmax, so one training step repeats no reduction over S.  The row norms are
+computed once, by one ``normalize_rows`` of both towers stacked, and reused as
+the backward divisor.  The step keeps one ``(2, ...)`` array per quantity (the
 embeddings, their norms, the maxima and sums of both loss directions, the
 embedding gradients), so each elementwise stage is one NumPy call for both
 towers or both directions.  The backward builds G and the normalization and
@@ -123,14 +123,10 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray):
     if b == 0:
         raise InfoNCEError("empty batch")
 
-    # One (2, ...) buffer per quantity, tower F at [0] and G at [1], so each
-    # elementwise stage below is one call over both towers.
+    # Every (2, ...) array below holds tower F at [0] and G at [1].
     z_f, h_f = forward_tower(params, Tower.F, batch_a)
     z_g, h_g = forward_tower(params, Tower.G, batch_b)
-    E = np.empty((2,) + z_f.shape)
-    N = np.empty((2, b))
-    zero_f = normalize_rows(z_f, E[0], N[0])[1]
-    zero_g = normalize_rows(z_g, E[1], N[1])[1]
+    E, zero_rows, N = normalize_rows(np.stack((z_f, z_g)))
 
     temp = params.temp
     S = E[0] @ E[1].T
@@ -160,9 +156,8 @@ def gradients(params: EncoderParams, batch_a: np.ndarray, batch_b: np.ndarray):
     np.multiply(E, inner, out=T)
     D -= T
     D /= N[:, :, None]
-    for dz, zero_rows in ((D[0], zero_f), (D[1], zero_g)):
-        if np.count_nonzero(zero_rows):
-            dz[zero_rows] = 0.0
+    if np.count_nonzero(zero_rows):
+        D[zero_rows] = 0.0
     dz_f, dz_g = D
 
     if params.is_mlp:

@@ -68,6 +68,11 @@ class CandidateSet:
         return self.ids.size
 
 
+def prune_count(rho: float, n: int) -> int:
+    """floor(rho * n); the 1e-9 keeps 0.29 * 100 (28.999999999999996) from flooring to 28."""
+    return int(rho * n + 1e-9)
+
+
 def _check_distinct(ids: np.ndarray) -> None:
     uniq, counts = np.unique(ids, return_counts=True)
     if uniq.size != ids.size:
@@ -99,7 +104,7 @@ def select_batch_candidates(losses, ids, rho: float):
     ids = np.asarray(ids)
     if not np.isfinite(losses).all():
         raise PrunerError("losses must be finite")
-    k = int(rho * losses.shape[0] + 1e-9)
+    k = int(rho * losses.shape[0] + 1e-9)  # prune_count, spelled out: batch_candidates is checked against it
     order = _ascending_order(losses, ids)
     red = set(ids[order[:k]].tolist())
     ill = set(ids[order[losses.shape[0] - k:]].tolist())
@@ -163,7 +168,7 @@ def batch_candidates(fg_losses, gf_losses, ids, rho: float) -> CandidateSet:
         raise PrunerError("rho must lie in (0, 0.5)")
     ids = np.asarray(ids)
     b = ids.shape[0]
-    k = int(rho * b + 1e-9)
+    k = prune_count(rho, b)
     if k == 0:
         return CandidateSet(ids[:0], [], [])
     fg = np.asarray(fg_losses, dtype=np.float64)

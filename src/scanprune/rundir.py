@@ -40,7 +40,10 @@ def sha256(path) -> str:
 
 
 def check_out(out) -> None:
-    """Raise unless a run can be written to ``out``: no part of it is an existing non-directory."""
+    """Raise unless a run can be written to ``out``: it is not empty (``Path("")`` is the
+    current directory) and no part of it is an existing non-directory."""
+    if not str(out):
+        raise RunDirError("--out is empty: give the run directory to write")
     out = Path(out)
     for p in (out, *out.parents):
         if p.exists() and not p.is_dir():
@@ -58,7 +61,7 @@ def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, resu
     artifacts = [METRICS, CHECKPOINT]
     for epoch, ids in sorted(result.exclusions.items()):
         name = f"pruned_epoch{epoch:04d}.txt"
-        write_ids(out / name, f"epoch={epoch} rho_cur={result.records[epoch].rho_cur:.6g}", ids)
+        write_ids(out / name, f"epoch={epoch} rho_cur={result.records[epoch].rho_cur:.6g}", ids.tolist())
         artifacts.append(name)
     if result.candidate_history:
         final = result.candidate_history[-1]

@@ -20,7 +20,7 @@ from scanprune import blas
 from scanprune.dataset import DatasetError, PairedDataset, read_frame, write_frame
 from scanprune.encoder import EncoderParams, Tower, encode, init_params, weight_shapes
 from scanprune.infonce import gradients
-from scanprune.pruner import CandidateSet, accumulate, active_indices, batch_candidates, sample_pruned
+from scanprune.pruner import CandidateSet, accumulate, active_indices, batch_candidates, prune_count, sample_pruned
 from scanprune.scheduler import PhaseKind, round_phase, warmup_end
 
 CHECKPOINT_MAGIC = b"SCNP"
@@ -102,7 +102,7 @@ class RunResult:
     params: EncoderParams
     records: list[EpochRecord]
     candidate_history: list[CandidateSet] = field(default_factory=list)
-    exclusions: dict[int, list[int]] = field(default_factory=dict)
+    exclusions: dict[int, np.ndarray] = field(default_factory=dict)  # sorted int64 ids
     batches_per_epoch: list[int] = field(default_factory=list)
     cpu_ms: float = 0.0  # process CPU time; immune to scheduler preemption
     bookkeep_ms: float = 0.0
@@ -202,10 +202,10 @@ def _train(ds: PairedDataset, cfg: TrainConfig, active_ids=None, label: str | No
             active = active_ids(epoch, phase)
         elif phase.kind is PhaseKind.MUTATE:  # round_phase opens every round with a Prepare
             tb = time.process_time()
-            excluded = sample_pruned(history[-1], phase.rho_cur, _derived_seed(cfg.seed, epoch, 1))
+            excluded = result.exclusions[epoch] = sample_pruned(
+                history[-1], phase.rho_cur, _derived_seed(cfg.seed, epoch, 1))
             active = active_indices(ds.n, excluded)
             result.bookkeep_ms += (time.process_time() - tb) * 1e3
-            result.exclusions[epoch] = excluded.tolist()
         else:
             active = np.arange(ds.n)
         order = _shuffle_rng(cfg.seed, epoch).permutation(active)
@@ -248,7 +248,7 @@ def train_full(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
 def train_random_baseline(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
     """Post-warm-up epochs uniformly drop floor(rho * n) samples, redrawn each epoch."""
     cfg.validate()  # before rho is read
-    drop = int(cfg.rho * ds.n + 1e-9)
+    drop = prune_count(cfg.rho, ds.n)
 
     def active_ids(epoch: int, phase):
         if phase.kind is PhaseKind.WARMUP or drop == 0:
@@ -261,7 +261,10 @@ def train_random_baseline(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
 
 def train_static_coreset(ds: PairedDataset, coreset_ids, cfg: TrainConfig) -> RunResult:
     """All epochs train only on the given coreset ids, which must be distinct and in [0, n)."""
-    ids = np.asarray(sorted(int(i) for i in coreset_ids))
+    try:
+        ids = np.sort(np.fromiter(coreset_ids, dtype=np.int64))
+    except OverflowError as exc:  # an id past int64 is past n
+        raise TrainerError("coreset ids out of range") from exc
     if ids.size == 0:
         raise TrainerError("coreset is empty")
     if ids[0] < 0 or ids[-1] >= ds.n:

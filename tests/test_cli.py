@@ -2,14 +2,17 @@ import contextlib
 import json
 import os
 import random
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from scanprune import load_dataset
 from scanprune.cli import main
@@ -514,6 +517,19 @@ def test_train_out_is_a_file_exit_4(data_file, tmp_path, capsys):
     assert "not a directory" in capsys.readouterr().err
 
 
+def test_train_empty_out_exit_4_leaves_the_current_directory_as_it_was(data_file, tmp_path, monkeypatch,
+                                                                       capsys):
+    # Path("") is the current directory: an empty --out would write a run there
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "metrics.jsonl").write_text('{"epoch": 0}\n')
+    monkeypatch.chdir(cwd)
+    before = {q.name: q.read_bytes() for q in cwd.iterdir()}
+    assert _train(data_file, "") == 4
+    assert "--out is empty" in capsys.readouterr().err
+    assert {q.name: q.read_bytes() for q in cwd.iterdir()} == before
+
+
 def test_export_coreset_rejects_run_that_is_not_scan(data_file, tmp_path, capsys):
     # a full run trained into a former scan run's directory leaves its
     # candidates.json behind; the manifest says the run is not a scan run
@@ -940,3 +956,99 @@ def test_gen_data_defaults_equal_the_spelled_out_flags(tmp_path):
     assert main([*base, "--mismatch-frac", "0", "--duplicate-frac", "0", "--noise-sigma", "0.1",
                  "--out", str(spelled)]) == 0
     assert short.read_bytes() == spelled.read_bytes()
+
+
+# ----------------------------------------------- train's flags and config fuzzed
+#
+# tau_stop, tau_cos, batch_size, out_dim and hidden_dim come only from small
+# ranges or non-numeric text (an unset tau_stop is 32), so no example runs more
+# than about a thousand steps on a 64 x 8 corpus or allocates more than a few MB.
+
+_SMALL_INT_KEYS = {"tau_stop": (-2, 7), "tau_cos": (-1, 5), "batch_size": (-1, 70), "out_dim": (-1, 6),
+                   "hidden_dim": (-1, 12)}
+_GARBAGE = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1_0", "3.0", "0x10", "+2", "1e3", "\x00",
+                            "\ufeff1", "\u0663", "\u00b2", "yes", "paired", "None", "[1]", "  7  "])
+_FLOAT_TEXT = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                        st.floats(0.0, 1.0).map(str), _GARBAGE)
+
+
+def _value_text(key: str):
+    if key in _SMALL_INT_KEYS:
+        return st.one_of(st.integers(*_SMALL_INT_KEYS[key]).map(str), _GARBAGE)
+    if key == "seed":
+        return st.one_of(st.integers(-3, 2 ** 70).map(str), _GARBAGE)
+    if key == "mode":
+        return st.one_of(st.sampled_from(["paired", "view_pair", "PAIRED", "view-pair"]), _GARBAGE)
+    if key == "mlp":
+        return st.one_of(st.sampled_from(["yes", "no", "1", "0", "True", "false", "maybe"]), _GARBAGE)
+    return _FLOAT_TEXT  # rho, t_td, epsilon, lr; and any unknown key
+
+
+_KEYS = [f.name for f in fields(TrainConfig)] + ["Rho", "tau stop", "batch-size", "\u03c1", "\ufeffrho", ""]
+
+
+@st.composite
+def _config_lines(draw) -> bytes:
+    kind = draw(st.sampled_from(["pair", "pair", "pair", "comment", "blank", "no_equals", "bytes"]))
+    if kind == "comment":
+        return ("# " + draw(st.text(max_size=10))).encode()
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b"   ", b"\t"]))
+    if kind == "bytes":  # non-ASCII, undecodable, NUL
+        return draw(st.binary(max_size=12).map(lambda b: b.replace(b"=", b"").replace(b"\n", b"")))
+    key = draw(st.sampled_from(_KEYS))
+    if kind == "no_equals":
+        return key.encode()
+    sep = draw(st.sampled_from(["=", " = ", "\t=\t", "  =", "= ", " == "]))
+    return f"{key}{sep}{draw(_value_text(key.strip()))}".encode("utf-8", "surrogatepass")
+
+
+_FLAG_VALUES = {"--rho": _FLOAT_TEXT, "--lr": _FLOAT_TEXT, "--seed": _value_text("seed"),
+                "--tau-stop": _value_text("tau_stop"), "--batch-size": _value_text("batch_size"),
+                "--out-dim": _value_text("out_dim"), "--hidden-dim": _value_text("hidden_dim"),
+                "--mode": _value_text("mode"),
+                "--method": st.sampled_from(["scan", "full", "random", "static", "bogus"])}
+
+
+@st.composite
+def _train_argv(draw):
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES) + ["--mlp"]), max_size=4)):
+        flags += [flag] if flag == "--mlp" else [flag, draw(_FLAG_VALUES[flag])]
+    config = draw(st.sampled_from(["none", "file", "file", "file", "directory", "missing"]))
+    lines = draw(st.lists(_config_lines(), max_size=8)) if config == "file" else []
+    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return flags, config, newline.join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "ds.bin"
+    assert main(["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--mismatch-frac", "0.1",
+                 "--duplicate-frac", "0.1", "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_train_argv())
+def test_train_flags_and_config_fuzzed_exit_0_2_3_or_4(fuzz_data, case):
+    flags, config, body = case
+    work = Path(tempfile.mkdtemp())
+    try:
+        out = work / "run"
+        argv = ["train", "--data", str(fuzz_data), "--out", str(out), *flags]
+        if config != "none":
+            cfg = {"file": work / "train.cfg", "directory": work, "missing": work / "absent.cfg"}[config]
+            if config == "file":
+                cfg.write_bytes(body)
+            argv += ["--config", str(cfg)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse on a bad flag value
+            assert exc.code == 2, argv
+            code = 2
+        assert code in (0, 2, 3, 4), argv
+        event(f"exit {code}")
+        assert (out / "manifest.json").exists() == (code == 0), (argv, body)
+    finally:
+        shutil.rmtree(work)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from scanprune import CandidateSet, PrunedSummary, export_coreset
 from scanprune.coreset import CoresetError, load_coreset, save_coreset
+from scanprune.pruner import prune_count
 
 
 def _summary(run_id, pruned, n, scores=None):
@@ -199,3 +200,20 @@ def test_load_coreset_checks_the_header(tmp_path):
             load_coreset(path)
     path.write_text("# hand-made\n3\n1\n")  # no save_coreset header: any length
     assert load_coreset(path, n=20) == [3, 1]
+
+
+def test_export_and_load_agree_on_prune_count(tmp_path):
+    # an exported coreset must load: both sides count floor(rho * n) by prune_count
+    path = tmp_path / "coreset.txt"
+    for n in (1, 7, 10, 100, 257):
+        for rho in (0.1, 0.25, 0.29, 0.3, 0.49, 0.57, 0.9):
+            runs = _summary("a", set(range(0, n, 3)), n), _summary("b", set(range(0, n, 2)), n)
+            keep = export_coreset(*runs, rho)
+            assert n - len(keep) == prune_count(rho, n), (n, rho)
+            save_coreset(keep, n=n, rho=rho, runs=("a", "b"), path=path)
+            assert load_coreset(path, n=n) == keep
+            for wrong in (len(keep) - 1, len(keep) + 1):
+                if wrong >= 0:
+                    save_coreset(range(wrong), n=n, rho=rho, runs=("a", "b"), path=path)
+                    with pytest.raises(CoresetError, match="ids, the file holds"):
+                        load_coreset(path)

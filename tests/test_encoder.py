@@ -125,22 +125,22 @@ def test_normalize_rows_divisor_is_the_row_norm_bit_for_bit():
             assert emb.tobytes() == (z / divisor[:, None]).tobytes()
 
 
-def test_normalize_rows_into_given_buffers_matches_allocating_call():
+def test_normalize_rows_of_a_stack_equals_each_matrix_alone_bit_for_bit():
+    # the gradient step normalizes both towers as one (2, b, o) stack
     rng = np.random.default_rng(4)
-    for shape in ((1, 1), (7, 3), (64, 8), (150, 9)):
-        z = rng.standard_normal(shape)
-        z[::4] = 0.0
+    for b, o in ((1, 1), (7, 3), (64, 8), (150, 9), (33, 17)):
+        z = rng.standard_normal((2, b, o)) * rng.uniform(1e-3, 1e3, size=(2, b, 1))
+        z[0, ::4] = 0.0
+        z[1, 1::3] = 0.0
         z0 = z.copy()
-        want_emb, want_zero, want_norms = normalize_rows(z)
-        E = np.full((2,) + shape, np.nan)
-        N = np.full((2, shape[0]), np.nan)
-        out, out_norms = E[1], N[1]
-        emb, zero_rows, norms = normalize_rows(z, out, out_norms)
-        assert emb is out and norms is out_norms
-        assert emb.tobytes() == want_emb.tobytes()
-        assert norms.tobytes() == want_norms.tobytes()
-        assert np.array_equal(zero_rows, want_zero)
-        assert np.isnan(E[0]).all() and np.isnan(N[0]).all()
+        emb, zero_rows, norms = normalize_rows(z)
+        assert emb.shape == z.shape and zero_rows.shape == norms.shape == (2, b)
+        for t in (0, 1):
+            want_emb, want_zero, want_norms = normalize_rows(z[t])
+            assert emb[t].tobytes() == want_emb.tobytes()
+            assert norms[t].tobytes() == want_norms.tobytes()
+            assert np.array_equal(zero_rows[t], want_zero)
+        assert zero_rows.any()
         assert z.tobytes() == z0.tobytes()
 
 

@@ -8,6 +8,7 @@ from scanprune.pruner import (
     accumulate,
     batch_candidates,
     merge_directions,
+    prune_count,
     rank_orders,
 )
 
@@ -18,6 +19,13 @@ def brute_force_select(losses, ids, rho):
     asc = sorted(zip(losses, ids))
     desc = sorted(zip(losses, ids), key=lambda t: (-t[0], -t[1]))
     return {i for _, i in asc[:k]}, {i for _, i in desc[:k]}
+
+
+def test_prune_count_floors_products_that_are_whole_on_paper():
+    # 0.29 * 100 is 28.999999999999996 and 0.57 * 100 is 56.99999999999999
+    assert prune_count(0.29, 100) == 29
+    assert prune_count(0.57, 100) == 57
+    assert prune_count(0.3, 9) == 2 and prune_count(0.1, 8) == 0 and prune_count(0.3, 0) == 0
 
 
 def test_select_example():

@@ -25,6 +25,7 @@ from scanprune import blas, trainer
 from scanprune.cli import main
 from scanprune.encoder import Tower, encode
 from scanprune.infonce import gradients
+from scanprune.pruner import prune_count
 from scanprune.scheduler import round_phase, warmup_cap
 from scanprune.trainer import (
     CheckpointError,
@@ -98,7 +99,16 @@ def test_run_is_deterministic():
     assert np.array_equal(a.params.w_f, b.params.w_f)
     assert np.array_equal(a.params.w_g, b.params.w_g)
     assert a.params.log_temp == b.params.log_temp
-    assert a.exclusions == b.exclusions
+    assert a.exclusions.keys() == b.exclusions.keys()
+    assert all(np.array_equal(a.exclusions[e], b.exclusions[e]) for e in a.exclusions)
+
+
+def test_exclusions_are_sorted_int64_arrays():
+    res = train_scan(_ds(), _cfg())
+    assert res.exclusions
+    for excluded in res.exclusions.values():
+        assert isinstance(excluded, np.ndarray) and excluded.dtype == np.int64 and excluded.ndim == 1
+        assert (np.diff(excluded) > 0).all()
 
 
 def test_warmup_trajectory_shared_with_full():
@@ -185,6 +195,17 @@ def test_random_baseline_redraws_each_epoch():
     assert len(set(post)) == len(post)
 
 
+def test_random_baseline_drops_prune_count_ids_per_post_warmup_epoch():
+    # the same floor(rho * n) that export-coreset removes
+    for n in (8, 10, 29, 100):
+        ds = _ds(n=n, dim=4, nc=2)
+        for rho in (0.1, 0.29, 0.3, 0.45):
+            res = train_random_baseline(ds, _cfg(rho=rho, tau_stop=4, batch_size=8, out_dim=2))
+            post = [r.active_size for r in res.records if r.phase == "Random"]
+            assert post and post == [n - prune_count(rho, n)] * len(post), (n, rho)
+            assert all(r.active_size == n for r in res.records if r.phase == "WarmUp")
+
+
 def test_static_coreset_all_ids_equals_full():
     ds = _ds(n=128)
     cfg = _cfg()
@@ -208,6 +229,14 @@ def test_static_coreset_validation():
         train_static_coreset(ds, [5, 50], _cfg())
     with pytest.raises(TrainerError, match="distinct"):
         train_static_coreset(ds, [0, 3, 0], _cfg())
+
+
+def test_static_coreset_id_past_int64_is_out_of_range():
+    # the ids are sorted as an int64 array; an id that does not fit is past n
+    ds = _ds(n=50)
+    for big in (2 ** 63, 2 ** 64, -2 ** 70):
+        with pytest.raises(TrainerError, match="out of range"):
+            train_static_coreset(ds, [0, big], _cfg())
 
 
 def test_divergence_guard():

@@ -76,7 +76,8 @@ def _run_shas(sp, tmp: Path, name: str, res, ds) -> dict[str, str]:
     return {
         f"lib/{name}/checkpoint": _sha((tmp / "lib.bin").read_bytes()),
         f"lib/{name}/metrics": _sha(_records_bytes(res.records)),
-        f"lib/{name}/exclusions": _sha(json.dumps(sorted(res.exclusions.items())).encode()),
+        f"lib/{name}/exclusions": _sha(json.dumps(  # ids as a list or an array alike
+            [(epoch, list(map(int, ids))) for epoch, ids in sorted(res.exclusions.items())]).encode()),
         f"lib/{name}/candidates": _sha(b"".join(
             c.ids.tobytes() + c.redundant.tobytes() + c.scores.tobytes() + str(c.built_at_epoch).encode()
             for c in res.candidate_history)),
