@@ -2,7 +2,7 @@
 
 Every command is a single process with no daemon state.  Exit codes: 2 bad
 flags, 3 a path the OS cannot open, read or write (a failed write leaves no
-partial file), 4 invalid config or data, or out of memory.
+partial file), 4 invalid config or data, an empty ``--out``, or out of memory.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from dataclasses import MISSING, fields, replace
-from pathlib import Path
 from typing import get_type_hints
 
 from scanprune import coreset, rundir
@@ -41,9 +40,11 @@ class CliError(Exception):
 
 
 def _fmt(x) -> str:
+    """``x`` as stdout shows it; lone surrogates (an undecodable path, a manifest's
+    ``\\ud800``) backslash-escaped, since a UTF-8 stdout cannot encode them."""
     if isinstance(x, float):
         return f"{x:.6g}"
-    return str(x)
+    return str(x).encode("utf-8", "backslashreplace").decode()
 
 
 def _default_seed() -> int:
@@ -141,12 +142,11 @@ def _read_dataset(path: str):
 def cmd_gen_data(args) -> int:
     spec = _from_flags(GenSpec, args, {})
     try:
-        spec.validate()
         ds = generate_paired_dataset(spec)
     except DatasetError as exc:
         raise CliError(f"invalid gen spec: {exc}") from exc
     coreset.write_then_replace(args.out, lambda tmp: save_dataset(ds, tmp))
-    print(f"wrote {args.out} n={ds.n} dim={ds.dim} classes={ds.num_classes}")
+    print(f"wrote {_fmt(args.out)} n={ds.n} dim={ds.dim} classes={ds.num_classes}")
     return EXIT_OK
 
 
@@ -205,8 +205,6 @@ def cmd_schedule(args) -> int:
 # ----------------------------------------------------------- export-coreset
 
 def cmd_export_coreset(args) -> int:
-    if Path(args.out).is_dir():
-        raise CliError(f"--out is a directory: {args.out}")
     a, b = (PrunedSummary.from_candidates(run, *rundir.read_candidates(run))
             for run in (args.run_a, args.run_b))
     try:
@@ -214,7 +212,7 @@ def cmd_export_coreset(args) -> int:
     except CoresetError as exc:
         raise CliError(str(exc)) from exc
     save_coreset(ids, a.n, args.rho, (args.run_a, args.run_b), args.out)
-    print(f"wrote {args.out} |coreset|={len(ids)} of n={a.n}")
+    print(f"wrote {_fmt(args.out)} |coreset|={len(ids)} of n={a.n}")
     return EXIT_OK
 
 
@@ -247,7 +245,7 @@ def cmd_compare(args) -> int:
         rows.append((manifest["method"], run, probe, mean_samples, wall))
     print(f"{'method':<8} {'run':<24} {'probe_acc':>10} {'mean_samples':>13} {'wall_ms':>10}")
     for method, run, probe, mean_samples, wall in rows:
-        print(f"{method:<8} {run:<24} {_fmt(probe):>10} {_fmt(mean_samples):>13} {_fmt(wall):>10}")
+        print(f"{_fmt(method):<8} {_fmt(run):<24} {_fmt(probe):>10} {_fmt(mean_samples):>13} {_fmt(wall):>10}")
     return EXIT_OK
 
 
@@ -300,6 +298,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":  # Path("") is the current directory
+            raise CliError("--out is empty: give the file or run directory to write")
         return args.func(args)
     except (CliError, rundir.RunDirError) as exc:
         return _fail(EXIT_INVALID, exc)

@@ -61,8 +61,9 @@ def export_coreset(a: PrunedSummary, b: PrunedSummary, rho: float) -> list[int]:
 
 
 def write_ids(path, header: str, ids) -> None:
-    """One-id-per-line text file: a ``# header`` line, then one id per line."""
-    with open(path, "w") as fh:
+    """One-id-per-line text file: a ``# header`` line, then one id per line.  A lone
+    surrogate in the header (an undecodable run path) is written backslash-escaped."""
+    with open(path, "w", errors="backslashreplace") as fh:
         fh.write(f"# {header}\n")
         fh.writelines(f"{sid}\n" for sid in ids)
 

@@ -47,9 +47,12 @@ class CandidateSet:
     built_at_epoch: int = 0
 
     def __post_init__(self) -> None:
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        try:
+            self.ids = np.asarray(self.ids, dtype=np.int64)
+            self.scores = np.asarray(self.scores, dtype=np.float64)
+        except OverflowError as exc:  # an id past int64 is past any n, a score past float64 not finite
+            raise PrunerError(f"candidate ids must fit in int64 and scores in float64: {exc}") from exc
         self.redundant = np.asarray(self.redundant, dtype=bool)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
         if not (self.ids.ndim == 1 and self.ids.shape == self.redundant.shape == self.scores.shape):
             raise PrunerError("ids, redundant and scores must be 1-D arrays of one length")
 
@@ -243,7 +246,10 @@ def sample_pruned(candidates: CandidateSet, rho_cur: float, seed: int) -> np.nda
 
 def active_indices(n: int, excluded) -> np.ndarray:
     """Sorted ids in [0, n) that are not in ``excluded``."""
-    excluded = np.asarray(excluded, dtype=np.int64)
+    try:
+        excluded = np.asarray(excluded, dtype=np.int64)
+    except OverflowError as exc:  # an id past int64 is past n
+        raise PrunerError(f"excluded id out of range for n={n}: {exc}") from exc
     if excluded.size and (excluded.min() < 0 or excluded.max() >= n):
         bad = excluded[(excluded < 0) | (excluded >= n)][0]
         raise PrunerError(f"excluded id {int(bad)} out of range for n={n}")

@@ -11,14 +11,16 @@ There is no fsync: a power loss is not covered.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
-from dataclasses import asdict
+import os
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from scanprune.coreset import write_ids, write_then_replace
 from scanprune.pruner import CandidateSet, PrunerError, Tag
-from scanprune.trainer import EpochRecord, RunResult, TrainConfig, TrainerError, read_metrics, write_metrics
+from scanprune.trainer import EpochRecord, RunResult, TrainConfig
 
 MANIFEST = "manifest.json"
 METRICS = "metrics.jsonl"
@@ -40,14 +42,41 @@ def sha256(path) -> str:
 
 
 def check_out(out) -> None:
-    """Raise unless a run can be written to ``out``: it is not empty (``Path("")`` is the
-    current directory) and no part of it is an existing non-directory."""
-    if not str(out):
-        raise RunDirError("--out is empty: give the run directory to write")
+    """Raise NotADirectoryError, naming the part in the way, if ``out`` or a parent of it
+    is an existing non-directory: the refusal ``write_run`` would meet, before training."""
     out = Path(out)
     for p in (out, *out.parents):
         if p.exists() and not p.is_dir():
-            raise RunDirError(f"cannot write a run to {out}: {p} is not a directory")
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(p))
+
+
+def write_metrics(records, path) -> None:
+    """JSON-lines metrics file, one EpochRecord per line."""
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(asdict(rec)) + "\n")
+
+
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def read_metrics(path) -> list[EpochRecord]:
+    """Parse a metrics file; a malformed or wrongly typed record raises RunDirError."""
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = EpochRecord(**json.loads(line))
+            except (ValueError, TypeError) as exc:
+                raise RunDirError(f"bad run directory {Path(path).parent}: {path}:{lineno}: "
+                                  f"bad epoch record: {exc}") from exc
+            if not all(isinstance(getattr(rec, f.name), _JSON_TYPES[f.type]) for f in fields(rec)):
+                raise RunDirError(f"bad run directory {Path(path).parent}: {path}:{lineno}: "
+                                  f"epoch record has a wrongly typed field")
+            records.append(rec)
+    return records
 
 
 def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, result: RunResult, n: int,
@@ -115,10 +144,7 @@ def read_run(path) -> tuple[dict, list[EpochRecord]]:
     if not (isinstance(manifest, dict) and isinstance(manifest.get("method"), str)
             and isinstance(manifest.get("artifacts"), list)):
         raise RunDirError(f"bad run directory {path}: {MANIFEST} has no method or artifacts list")
-    try:
-        records = read_metrics(listed(path, manifest, METRICS))
-    except TrainerError as exc:
-        raise RunDirError(f"bad run directory {path}: {exc}") from exc
+    records = read_metrics(listed(path, manifest, METRICS))
     if not records:
         raise RunDirError(f"bad run directory {path}: no epoch records in {METRICS}")
     return manifest, records
@@ -144,20 +170,20 @@ def read_candidates(path) -> tuple[CandidateSet, int]:
     try:
         with open(cand_path, "rb") as fh:
             data = json.load(fh)
-        n, entries = data["n"], data["entries"]
+        n, built_at_epoch, entries = data["n"], data["built_at_epoch"], data["entries"]
         ids = [e["sample_id"] for e in entries]
-        if not all(type(v) is int for v in (n, *ids)) or n < 0:
-            raise ValueError("n and every sample_id must be non-negative integers")
+        if not all(type(v) is int for v in (n, built_at_epoch, *ids)) or n < 0:
+            raise ValueError("n, built_at_epoch and every sample_id must be integers, n non-negative")
         if n != records[0].active_size:
             raise ValueError(f"n={n}, but the run's first epoch in {METRICS} trained on "
                              f"{records[0].active_size} samples")
         cands = CandidateSet(
             ids=ids,
             redundant=[Tag(e["tag"]) is Tag.REDUNDANT for e in entries],
-            scores=[float(e["rank_score"]) for e in entries],
-            built_at_epoch=int(data["built_at_epoch"]),
+            scores=[e["rank_score"] for e in entries],
+            built_at_epoch=built_at_epoch,
         )
         cands.validate(n)
-    except (ValueError, KeyError, TypeError, OverflowError, PrunerError) as exc:
+    except (ValueError, KeyError, TypeError, PrunerError) as exc:
         raise RunDirError(f"bad candidates file {cand_path}: {exc}") from exc
     return cands, n

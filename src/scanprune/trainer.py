@@ -9,10 +9,9 @@ a forward-pass counter makes that auditable.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -409,30 +408,3 @@ def load_checkpoint(path) -> EncoderParams:
         raise CheckpointError(str(exc)) from exc
     log_temp = arrays.pop("log_temp")
     return EncoderParams(log_temp=float(log_temp[0]), **arrays)
-
-
-def write_metrics(records, path) -> None:
-    """JSON-lines metrics file, one EpochRecord per line."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(asdict(rec)) + "\n")
-
-
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
-def read_metrics(path) -> list[EpochRecord]:
-    """Parse a metrics file; a malformed or wrongly typed record raises TrainerError."""
-    records = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = EpochRecord(**json.loads(line))
-            except (ValueError, TypeError) as exc:
-                raise TrainerError(f"{path}:{lineno}: bad epoch record: {exc}") from exc
-            if not all(isinstance(getattr(rec, f.name), _JSON_TYPES[f.type]) for f in fields(rec)):
-                raise TrainerError(f"{path}:{lineno}: epoch record has a wrongly typed field")
-            records.append(rec)
-    return records

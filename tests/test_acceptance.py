@@ -37,7 +37,7 @@ from scanprune import (
     train_scan,
     train_static_coreset,
 )
-from scanprune.trainer import write_metrics
+from scanprune.rundir import write_metrics
 
 SEEDS = (1, 2, 3, 4, 5)
 

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import random
@@ -18,7 +19,8 @@ from scanprune import load_dataset
 from scanprune.cli import main
 from scanprune.coreset import load_coreset
 from scanprune.dataset import DUPLICATE, MISMATCHED, DatasetError
-from scanprune.trainer import CheckpointError, TrainConfig, load_checkpoint, read_metrics
+from scanprune.rundir import read_metrics
+from scanprune.trainer import CheckpointError, TrainConfig, load_checkpoint
 
 
 @pytest.fixture()
@@ -149,10 +151,10 @@ def test_invalid_config_exit_4(data_file, tmp_path):
 
 
 def test_gen_data_beyond_u32_header_exits_4_before_generating(tmp_path, monkeypatch, capsys):
-    def must_not_generate(spec):
-        pytest.fail("generate_paired_dataset called on an oversized spec")
+    def must_not_generate(*args):  # the generator's first step after its spec check
+        pytest.fail("corpus generation started on an oversized spec")
 
-    monkeypatch.setattr("scanprune.cli.generate_paired_dataset", must_not_generate)
+    monkeypatch.setattr("scanprune.dataset._class_prototypes", must_not_generate)
     out = tmp_path / "x.bin"
     assert main(["gen-data", "--n", "5000000000", "--dim", "4000", "--num-classes", "3",
                  "--out", str(out)]) == 4
@@ -162,10 +164,10 @@ def test_gen_data_beyond_u32_header_exits_4_before_generating(tmp_path, monkeypa
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
 def test_gen_data_non_finite_noise_sigma_exits_4_before_generating(tmp_path, monkeypatch, capsys, sigma):
-    def must_not_generate(spec):
-        pytest.fail("generate_paired_dataset called on a non-finite noise_sigma")
+    def must_not_generate(*args):  # the generator's first step after its spec check
+        pytest.fail("corpus generation started on a non-finite noise_sigma")
 
-    monkeypatch.setattr("scanprune.cli.generate_paired_dataset", must_not_generate)
+    monkeypatch.setattr("scanprune.dataset._class_prototypes", must_not_generate)
     out = tmp_path / "x.bin"
     assert main(["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--noise-sigma", sigma,
                  "--out", str(out)]) == 4
@@ -466,6 +468,10 @@ def test_export_coreset_rejects_bad_candidates(data_file, tmp_path, capsys):
         "negative id": with_entry(sample_id=-1),
         "non-integer id": with_entry(sample_id=1.5),
         "bad score": with_entry(rank_score="high"),
+        "id past int64": with_entry(sample_id=2 ** 63),
+        "score past float64": with_entry(rank_score=10 ** 400),
+        "infinite built_at_epoch": lambda d: json.dumps({**d, "built_at_epoch": float("inf")}),
+        "fractional built_at_epoch": lambda d: json.dumps({**d, "built_at_epoch": 2.5}),
         "duplicate id": duplicate_first,
         "n differs from the run's": lambda d: json.dumps({**d, "n": 3_000_000}),
     }
@@ -508,13 +514,6 @@ def test_static_coreset_bad_ids_exit_4_without_run_dir(data_file, tmp_path, caps
         assert _train(data_file, out, "--method", "static", "--coreset", str(cs)) == 4, name
         assert "training failed" in capsys.readouterr().err, name
         assert not out.exists(), name
-
-
-def test_train_out_is_a_file_exit_4(data_file, tmp_path, capsys):
-    out = tmp_path / "taken"
-    out.write_text("")
-    assert _train(data_file, out) == 4
-    assert "not a directory" in capsys.readouterr().err
 
 
 def test_train_empty_out_exit_4_leaves_the_current_directory_as_it_was(data_file, tmp_path, monkeypatch,
@@ -572,14 +571,6 @@ def test_export_coreset_from_corpora_of_different_n_exit_4(data_file, tmp_path, 
     captured = capsys.readouterr()
     assert "dataset sizes differ: 64 vs 80" in captured.err and captured.out == ""
     assert not out.exists()
-
-
-def test_export_coreset_out_is_a_directory_exit_4(tmp_path, capsys):
-    # rejected before either run is read, so the missing runs do not matter
-    assert main(["export-coreset", "--run-a", str(tmp_path / "ghost-a"),
-                 "--run-b", str(tmp_path / "ghost-b"), "--rho", "0.25",
-                 "--out", str(tmp_path)]) == 4
-    assert "is a directory" in capsys.readouterr().err
 
 
 def test_compare_data_sha_mismatch_exit_4(data_file, tmp_path, capsys):
@@ -706,17 +697,9 @@ def test_directory_or_file_in_the_wrong_place_exit_3(data_file, tmp_path, monkey
     assert _train(data_file, tmp_path / "x", "--config", str(tmp_path)) == 3
     assert _train(data_file, tmp_path / "x", "--method", "static", "--coreset", str(tmp_path)) == 3
     monkeypatch.chdir(tmp_path)
-    for out in (str(tmp_path), ".", ""):  # "." and "" have no name for a temporary file beside them
+    for out in (str(tmp_path), "."):  # "." has no name for a temporary file beside it
         assert main(["gen-data", "--n", "8", "--dim", "2", "--num-classes", "2", "--out", out]) == 3, out
     assert not list(tmp_path.parent.glob("*.tmp")) and not list(tmp_path.glob("*.tmp"))
-
-
-def test_train_out_under_a_file_exits_4_before_training(data_file, tmp_path, monkeypatch, capsys):
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    monkeypatch.setattr("scanprune.cli.train_scan", lambda *a: pytest.fail("trained"))
-    assert _train(data_file, taken / "run") == 4
-    assert "not a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["gen-data", "gen-data <out>.tmp", "train", "export-coreset"])
@@ -966,8 +949,9 @@ def test_gen_data_defaults_equal_the_spelled_out_flags(tmp_path):
 
 _SMALL_INT_KEYS = {"tau_stop": (-2, 7), "tau_cos": (-1, 5), "batch_size": (-1, 70), "out_dim": (-1, 6),
                    "hidden_dim": (-1, 12)}
-_GARBAGE = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1_0", "3.0", "0x10", "+2", "1e3", "\x00",
-                            "\ufeff1", "\u0663", "\u00b2", "yes", "paired", "None", "[1]", "  7  "])
+_GARBAGE_TEXT = ["", "abc", "nan", "inf", "-inf", "1_0", "3.0", "0x10", "+2", "1e3", "\x00", "\ufeff1",
+                 "\u0663", "\u00b2", "yes", "paired", "None", "[1]", "  7  "]
+_GARBAGE = st.sampled_from(_GARBAGE_TEXT)
 _FLOAT_TEXT = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
                         st.floats(0.0, 1.0).map(str), _GARBAGE)
 
@@ -1052,3 +1036,178 @@ def test_train_flags_and_config_fuzzed_exit_0_2_3_or_4(fuzz_data, case):
         assert (out / "manifest.json").exists() == (code == 0), (argv, body)
     finally:
         shutil.rmtree(work)
+
+
+# ------------------------------------------------------ --out refused alike
+#
+# Both rules hold for every command that writes: an empty --out exits 4, and an
+# --out the OS would refuse (a directory where the file goes, a file where a
+# directory goes) exits 3.  Paths are relative to a copy of ``work``: a corpus,
+# two scan runs, a file ``taken`` and an empty directory ``dir``.
+
+@pytest.fixture(scope="module")
+def work(fuzz_data):
+    root = fuzz_data.parent / "work"
+    root.mkdir()
+    shutil.copy(fuzz_data, root / "ds.bin")
+    for run, seed in (("ra", "1"), ("rb", "2")):
+        assert _train(root / "ds.bin", root / run, "--seed", seed) == 0
+    (root / "taken").write_text("")
+    (root / "dir").mkdir()
+    return root
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root``, mapped to its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+_GEN_ARGV = ["gen-data", "--n", "8", "--dim", "2", "--num-classes", "2"]
+_WRITERS = {"gen-data": _GEN_ARGV,
+            "train": ["train", "--data", "ds.bin", "--tau-stop", "6"],
+            "export-coreset": ["export-coreset", "--run-a", "ra", "--run-b", "rb", "--rho", "0.25"]}
+_BAD_OUT = {  # case -> (command, --out, exit code, stderr text)
+    "gen-data-empty": ("gen-data", "", 4, "--out is empty"),
+    "train-empty": ("train", "", 4, "--out is empty"),
+    "export-coreset-empty": ("export-coreset", "", 4, "--out is empty"),
+    "gen-data-directory": ("gen-data", "dir", 3, "Is a directory: 'dir'"),
+    "export-coreset-directory": ("export-coreset", "dir", 3, "Is a directory: 'dir'"),
+    "gen-data-under-a-file": ("gen-data", "taken/ds.bin", 3, "Not a directory"),
+    "export-coreset-under-a-file": ("export-coreset", "taken/coreset.txt", 3, "Not a directory"),
+    "train-file": ("train", "taken", 3, "Not a directory: 'taken'"),
+    "train-under-a-file": ("train", "taken/run", 3, "Not a directory: 'taken'"),
+    "train-two-under-a-file": ("train", "taken/a/b", 3, "Not a directory: 'taken'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_OUT))
+def test_bad_out_exits_alike_in_every_command(work, tmp_path, monkeypatch, capsys, case):
+    command, out, code, message = _BAD_OUT[case]
+    shutil.copytree(work, tmp_path / "work")
+    monkeypatch.chdir(tmp_path / "work")
+    monkeypatch.setattr("scanprune.cli.train_scan", lambda *a: pytest.fail("trained"))
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main([*_WRITERS[command], "--out", out]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert _tree(tmp_path) == before  # nothing written, not even a temporary file
+
+
+def _strict_utf8_stdout() -> io.TextIOWrapper:
+    """A stdout that, like a UTF-8 terminal's, cannot encode a lone surrogate."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+
+
+def test_undecodable_names_print_escaped_on_a_utf8_stdout(work, tmp_path, monkeypatch):
+    # A non-UTF-8 argv byte reaches Python as a lone surrogate ("\udcff"), and
+    # a manifest's JSON can spell one ("\ud800").  Printing either raised
+    # UnicodeEncodeError after the command had written its file.
+    shutil.copytree(work, tmp_path / "work")
+    monkeypatch.chdir(tmp_path / "work")
+    shutil.move("ra", "r\udcffa")
+    manifest = json.loads(Path("rb", "manifest.json").read_text())
+    Path("rb", "manifest.json").write_text(json.dumps(dict(manifest, method="\ud800")))
+    stdout = _strict_utf8_stdout()
+    with contextlib.redirect_stdout(stdout):
+        assert main([*_GEN_ARGV, "--out", "d\udcff.bin"]) == 0
+        assert main(["export-coreset", "--run-a", "r\udcffa", "--run-b", "r\udcffa", "--rho", "0.25",
+                     "--out", "c\udcff.txt"]) == 0
+        assert main(["compare", "--runs", "r\udcffa,rb"]) == 0
+    stdout.flush()
+    text = stdout.buffer.getvalue().decode()
+    assert "wrote d\\udcff.bin n=8" in text and "wrote c\\udcff.txt |coreset|" in text
+    assert "r\\udcffa" in text and "\\ud800" in text
+    assert Path("c\udcff.txt").read_text().startswith("# n=64 rho=0.25 runs=r\\udcffa,r\\udcffa\n")
+    assert load_coreset("c\udcff.txt", n=64)
+
+
+# ------------------------------------- gen-data, export-coreset and compare fuzzed
+#
+# Each example runs one command in a fresh copy of ``work``.  --n, --dim and
+# --num-classes come only from small ranges or non-numeric text, so a corpus
+# is a few KB.  A non-UTF-8 argv byte arrives as a lone surrogate in
+# U+DC80..U+DCFF; no argv holds a NUL.
+
+_PATHS = st.sampled_from(["", ".", "dir", "dir/", "taken", "taken/x", "absent", "absent/x", "ds.bin", "ra",
+                          "rb", "ra/metrics.jsonl", "ra/candidates.json", "new.out", "dir/new.out",
+                          "\udcff", "n\udce9w.out", "ra/\udcff"])
+# Text that is not a number, undecodable bytes among it; no NUL, which no argv can hold.
+_NUMBER = st.sampled_from([v for v in _GARBAGE_TEXT if "\x00" not in v] + ["\udcff", "1\udcff"])
+_RUN = st.sampled_from(["ra", "rb/"])
+_OUT = st.sampled_from(["new.out", "dir/new.out", "ds.bin", "n\udce9w.out"])
+
+
+def _fraction(hi: float):
+    return st.floats(0.0, hi).map(str)
+
+
+_COMMAND_FLAGS = {  # flag -> (a value the command accepts, a value it may refuse)
+    "gen-data": {
+        "--n": (st.integers(5, 40).map(str), st.one_of(st.integers(-1, 4).map(str), _NUMBER)),
+        "--dim": (st.integers(2, 6).map(str), st.one_of(st.integers(-1, 1).map(str), _NUMBER)),
+        "--num-classes": (st.integers(2, 5).map(str), st.one_of(st.integers(-1, 1).map(str), _NUMBER)),
+        "--mismatch-frac": (_fraction(0.4), _FLOAT_TEXT),
+        "--duplicate-frac": (_fraction(0.4), _FLOAT_TEXT),
+        "--noise-sigma": (_fraction(1.0), _FLOAT_TEXT),
+        "--seed": (st.integers(0, 2 ** 70).map(str), st.one_of(st.integers(-3, -1).map(str), _NUMBER)),
+        "--out": (_OUT, _PATHS),
+    },
+    "export-coreset": {
+        "--run-a": (_RUN, _PATHS),
+        "--run-b": (_RUN, _PATHS),
+        "--rho": (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(str), _FLOAT_TEXT),
+        "--out": (_OUT, _PATHS),
+    },
+    "compare": {
+        "--runs": (st.lists(_RUN, min_size=1, max_size=3).map(",".join),
+                   st.lists(st.one_of(_RUN, _PATHS), min_size=1, max_size=3).map(",".join)),
+        "--data": (st.just("ds.bin"), _PATHS),
+        "--probe-seed": (st.integers(0, 2 ** 70).map(str), st.one_of(st.integers(-3, -1).map(str), _NUMBER)),
+    },
+}
+
+
+@st.composite
+def _command_argv(draw, command: str):
+    """Every flag with a value the command accepts, except up to two, drawn bad or left out."""
+    flags = _COMMAND_FLAGS[command]
+    spoiled = draw(st.sets(st.sampled_from(list(flags)), max_size=2))
+    argv = [command]
+    for flag, (good, bad) in flags.items():
+        if flag not in spoiled:
+            argv += [flag, draw(good)]
+        elif draw(st.integers(0, 3)):
+            argv += [flag, draw(bad)]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gen_data_export_and_compare_fuzzed_exit_0_2_3_or_4(work, command, data):
+    argv = data.draw(_command_argv(command))
+    root = Path(tempfile.mkdtemp())
+    cwd = os.getcwd()
+    try:
+        shutil.copytree(work, root / "work")
+        os.chdir(root / "work")
+        before = _tree(root)
+        try:
+            with contextlib.redirect_stdout(_strict_utf8_stdout()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:  # argparse on a missing flag or a bad flag value
+            assert exc.code == 2, argv
+            code = 2
+        assert code in (0, 2, 3, 4), argv
+        event(f"exit {code}")
+        changed = {path for path, _ in before.items() ^ _tree(root).items()}
+        if code == 0 and command != "compare":
+            out = argv[argv.index("--out") + 1]
+            assert changed <= {str(Path("work", out))}, (argv, changed)
+            {"gen-data": load_dataset, "export-coreset": load_coreset}[command](out)  # raises unless whole
+        else:  # a refused command, or compare, writes nothing: no *.tmp, no partial artifact
+            assert not changed, (argv, code, changed)
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(root)

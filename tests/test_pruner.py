@@ -220,3 +220,14 @@ def test_active_indices_examples():
 def test_active_indices_out_of_range():
     with pytest.raises(PrunerError):
         active_indices(5, np.array([9]))
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, -2 ** 70])
+def test_ids_past_int64_raise_pruner_error(big):
+    # no int64 id array can hold them, and every such id is out of range
+    with pytest.raises(PrunerError, match="out of range"):
+        active_indices(10, [0, big])
+    with pytest.raises(PrunerError, match="int64"):
+        CandidateSet([0, big], [True, False], [0.5, 0.5])
+    with pytest.raises(PrunerError, match="float64"):
+        CandidateSet([0], [True], [10 ** 400])

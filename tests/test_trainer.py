@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import hashlib
-import json
 import struct
 
 import numpy as np
@@ -36,8 +35,6 @@ from scanprune.trainer import (
     _pairwise_sum,
     init_params,
     load_checkpoint,
-    read_metrics,
-    write_metrics,
 )
 
 def _ds(n=256, dim=8, nc=4, seed=0, **kw):
@@ -366,20 +363,6 @@ def test_initial_checkpoint_bytes_are_pinned(tmp_path, dim, out_dim, seed, kw, s
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
-def test_read_metrics_rejects_malformed_records(tmp_path):
-    res = train_full(_ds(n=64), _cfg(tau_stop=6))
-    path = tmp_path / "m.jsonl"
-    write_metrics(res.records, path)
-    good = path.read_text()
-    first = json.loads(good.splitlines()[0])
-    for bad in ("{", '{"epoch": 1}', "[1, 2]", json.dumps(dict(first, unknown=1)),
-                json.dumps(dict(first, active_size="many")),
-                json.dumps(dict(first, mean_loss_fg=None))):
-        path.write_text(good + bad + "\n")
-        with pytest.raises(TrainerError, match=":7:"):
-            read_metrics(path)
-
-
 def test_baselines_keep_no_candidates_and_no_bookkeeping():
     ds = _ds(n=128)
     for res in (train_full(ds, _cfg()), train_random_baseline(ds, _cfg()),
@@ -392,14 +375,6 @@ def test_baselines_keep_no_candidates_and_no_bookkeeping():
 def test_random_baseline_validates_before_reading_config():
     with pytest.raises(TrainerError):
         train_random_baseline(_ds(n=16), _cfg(rho=float("nan")))
-
-
-def test_metrics_roundtrip(tmp_path):
-    ds = _ds(n=128)
-    res = train_scan(ds, _cfg(tau_stop=6))
-    path = tmp_path / "m.jsonl"
-    write_metrics(res.records, path)
-    assert read_metrics(path) == res.records
 
 
 def test_linear_probe_trained_beats_chance():

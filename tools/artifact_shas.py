@@ -38,7 +38,10 @@ checkout) and a ``diff`` of the two files.  It covers:
   ``--tau-cos 3 --epochs 100000``);
 - the corpus of a ``gen-data`` given only its required flags (seed from an
   unset ``SCAN_SEED``), and the manifest and checkpoint of a ``train --config``
-  run whose file sets every ``TrainConfig`` key.
+  run whose file sets every ``TrainConfig`` key;
+- the exit codes of ``gen-data``, ``train`` and ``export-coreset`` given a bad
+  ``--out``: empty, a directory where the file goes, or a file where a
+  directory goes.
 
 The CLI runs in a temporary directory with relative paths, so manifests and
 the coreset header are the same bytes in every checkout.
@@ -237,6 +240,19 @@ def cli_shas(main) -> dict[str, str]:
     run("train", "--data", "data.bin", "--out", "every_key", "--config", "every_key.cfg")
     for artifact in ("manifest.json", "checkpoint.bin"):
         out[f"cli/every_key/{artifact}"] = _sha(Path("every_key", artifact).read_bytes())
+
+    def exit_code(*argv) -> int:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(list(argv))
+
+    Path("taken").write_text("")
+    bad_out = {  # command -> the --out values it refuses
+        ("gen-data", "--n", "8", "--dim", "2", "--num-classes", "2"): ("", "scan1", "taken/data.bin"),
+        ("train", *common): ("", "taken", "taken/run"),
+        ("export-coreset", "--run-a", "scan1", "--run-b", "scan2", "--rho", "0.3"): ("", "scan1", "taken/c.txt"),
+    }
+    out["cli/exit_codes"] = _sha(json.dumps([[argv[0], bad, exit_code(*argv, "--out", bad)]
+                                             for argv, bads in bad_out.items() for bad in bads]).encode())
     return out
 
 
