@@ -205,8 +205,11 @@ def cmd_schedule(args) -> int:
 # ----------------------------------------------------------- export-coreset
 
 def cmd_export_coreset(args) -> int:
-    a, b = (PrunedSummary.from_candidates(run, *rundir.read_candidates(run))
-            for run in (args.run_a, args.run_b))
+    summaries = []
+    for run in (args.run_a, args.run_b):
+        history, _, n = rundir.read_rounds(run)
+        summaries.append(PrunedSummary.from_candidates(run, history[-1], n))
+    a, b = summaries
     try:
         ids = export_coreset(a, b, args.rho)
     except CoresetError as exc:

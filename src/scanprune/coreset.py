@@ -39,12 +39,15 @@ class PrunedSummary:
 
 
 def export_coreset(a: PrunedSummary, b: PrunedSummary, rho: float) -> list[int]:
-    """Sorted ids kept after removing the first floor(rho * n) ids in removal order."""
+    """Sorted ids kept after removing the first floor(rho * n) ids in removal order; none kept raises."""
     if a.n != b.n:
         raise CoresetError(f"dataset sizes differ: {a.n} vs {b.n}")
     if not (0.0 < rho < 1.0):
         raise CoresetError("rho must lie in (0, 1)")
     n = a.n
+    drop = prune_count(rho, n)
+    if drop == n:
+        raise CoresetError(f"rho={rho} removes all {n} samples: the coreset would be empty")
     votes = np.zeros(n, dtype=np.int8)
     score = np.zeros(n)
     for run in (a, b):
@@ -56,7 +59,7 @@ def export_coreset(a: PrunedSummary, b: PrunedSummary, rho: float) -> list[int]:
         score[run.candidates.ids] += run.candidates.scores
     order = np.lexsort((np.arange(n), -score, -votes))
     keep = np.ones(n, dtype=bool)
-    keep[order[:prune_count(rho, n)]] = False
+    keep[order[:drop]] = False
     return np.flatnonzero(keep).tolist()
 
 

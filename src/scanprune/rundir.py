@@ -1,12 +1,12 @@
 """The run directory, the one module that knows its layout.
 
-A run writes ``metrics.jsonl``, ``checkpoint.bin``, for scan ``candidates.json``
-and ``pruned_epochNNNN.txt``, and a ``manifest.json`` listing every artifact
-plus the config snapshot and dataset hash, so any run is reproducible from its
-manifest alone.  The manifest is the commit marker: ``write_run`` removes the
-old one first and moves the new one in last with ``os.replace``, and readers
-open only the files it lists, so a failing or killed write leaves no run.
-There is no fsync: a power loss is not covered.
+A run writes ``metrics.jsonl``, ``checkpoint.bin``, for scan ``rounds.bin``
+(each round's candidates and excluded ids), and a ``manifest.json`` listing
+every artifact plus the config snapshot and dataset hash, so any run is
+reproducible from its manifest alone.  The manifest is the commit marker:
+``write_run`` removes the old one first and moves the new one in last with
+``os.replace``, and readers open only the files it lists, so a failing or
+killed write leaves no run.  There is no fsync: a power loss is not covered.
 """
 
 from __future__ import annotations
@@ -18,15 +18,19 @@ import os
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from scanprune.coreset import write_ids, write_then_replace
-from scanprune.pruner import CandidateSet, PrunerError, Tag
+import numpy as np
+
+from scanprune.coreset import write_then_replace
+from scanprune.dataset import DatasetError, read_frame, write_frame
+from scanprune.pruner import CandidateSet, PrunerError
 from scanprune.trainer import EpochRecord, RunResult, TrainConfig
 
 MANIFEST = "manifest.json"
 METRICS = "metrics.jsonl"
 CHECKPOINT = "checkpoint.bin"
-CANDIDATES = "candidates.json"
-_ENTRY_SLICE = 2048  # candidates.json entries encoded per json.dumps call
+ROUNDS = "rounds.bin"
+_ROUNDS_MAGIC = b"SCNR"
+_ROUNDS_VERSION = 1
 
 
 class RunDirError(Exception):
@@ -88,27 +92,17 @@ def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, resu
     write_metrics(result.records, out / METRICS)
     save_checkpoint(result.params, out / CHECKPOINT)
     artifacts = [METRICS, CHECKPOINT]
-    for epoch, ids in sorted(result.exclusions.items()):
-        name = f"pruned_epoch{epoch:04d}.txt"
-        write_ids(out / name, f"epoch={epoch} rho_cur={result.records[epoch].rho_cur:.6g}", ids.tolist())
-        artifacts.append(name)
     if result.candidate_history:
-        final = result.candidate_history[-1]
-        ids, scores = final.ids.tolist(), final.scores.tolist()
-        tags = [(Tag.REDUNDANT if r else Tag.ILL_MATCHED).value for r in final.redundant.tolist()]
-        # The bytes of one json.dump of the whole object, but from json.dumps,
-        # whose C encoder is twice as fast as json.dump's Python one; encoding
-        # the entries a slice at a time keeps the document out of memory.
-        head, tail = json.dumps({"n": n, "built_at_epoch": final.built_at_epoch, "entries": [None]}).split("null")
-        with open(out / CANDIDATES, "w") as fh:
-            fh.write(head)
-            for k in range(0, len(ids), _ENTRY_SLICE):
-                part = slice(k, k + _ENTRY_SLICE)
-                entries = [{"sample_id": sid, "tag": tag, "rank_score": score}
-                           for sid, tag, score in zip(ids[part], tags[part], scores[part])]
-                fh.write((", " if k else "") + json.dumps(entries)[1:-1])
-            fh.write(tail)
-        artifacts.append(CANDIDATES)
+        history, exclusions = result.candidate_history, sorted(result.exclusions.items())
+        excluded = np.concatenate([np.empty(0, np.int64), *(ids for _, ids in exclusions)])
+        header = (n, len(history), len(history[0]), len(exclusions), excluded.size)
+        columns = [[c.built_at_epoch for c in history], [c.ids for c in history],  # _rounds_layout's order
+                   [c.redundant for c in history], [c.scores for c in history],
+                   [epoch for epoch, _ in exclusions], [ids.size for _, ids in exclusions], excluded]
+        dtypes = [dtype for _, dtype in _rounds_layout(*header).values()]
+        write_frame(out / ROUNDS, _ROUNDS_MAGIC, (_ROUNDS_VERSION, *header),
+                    [np.ascontiguousarray(column, dtype) for column, dtype in zip(columns, dtypes)])
+        artifacts.append(ROUNDS)
 
     snapshot = asdict(cfg)
     snapshot["mode"] = cfg.mode.value
@@ -158,32 +152,43 @@ def check_dataset(path, manifest: dict, data_sha: str) -> None:
                           f"(its manifest records another or none)")
 
 
-def read_candidates(path) -> tuple[CandidateSet, int]:
-    """A scan run's final candidate set and dataset size n; RunDirError on malformed
-    content or an ``n`` other than the first epoch's ``active_size``."""
+def _rounds_layout(n: int, rounds: int, size: int, mutates: int, excluded: int) -> dict:
+    """The ``SCNR`` v1 frame's arrays in file order; a tag is 1 redundant, 0 ill-matched.  Every
+    Prepare trains on all n samples in the same batches, so every round has ``size`` candidates."""
+    if not rounds:
+        raise ValueError("header declares no round")
+    return {"built_at_epoch": ((rounds,), "<u4"), "ids": ((rounds, size), "<i8"),
+            "redundant": ((rounds, size), "u1"), "scores": ((rounds, size), "<f8"),
+            "mutate_epoch": ((mutates,), "<u4"), "excluded_count": ((mutates,), "<u4"),
+            "excluded": ((excluded,), "<i8")}
+
+
+def read_rounds(path) -> tuple[list[CandidateSet], dict[int, np.ndarray], int]:
+    """A scan run's candidate set per round, its excluded ids per Mutate epoch and its
+    dataset size n; RunDirError on a malformed file, an excluded id outside [0, n),
+    Mutate epochs out of order or an ``n`` other than the first epoch's ``active_size``."""
     path = Path(path)
     manifest, records = read_run(path)
-    if manifest["method"] != "scan" or CANDIDATES not in manifest["artifacts"]:
-        raise RunDirError(f"bad run directory {path}: its manifest does not list "
-                          f"{CANDIDATES} from a scan run")
-    cand_path = path / CANDIDATES
+    if manifest["method"] != "scan" or ROUNDS not in manifest["artifacts"]:
+        raise RunDirError(f"bad run directory {path}: its manifest does not list {ROUNDS} from a scan run")
     try:
-        with open(cand_path, "rb") as fh:
-            data = json.load(fh)
-        n, built_at_epoch, entries = data["n"], data["built_at_epoch"], data["entries"]
-        ids = [e["sample_id"] for e in entries]
-        if not all(type(v) is int for v in (n, built_at_epoch, *ids)) or n < 0:
-            raise ValueError("n, built_at_epoch and every sample_id must be integers, n non-negative")
+        (n, *_), arrays = read_frame(path / ROUNDS, _ROUNDS_MAGIC, _ROUNDS_VERSION, 5, _rounds_layout)
         if n != records[0].active_size:
-            raise ValueError(f"n={n}, but the run's first epoch in {METRICS} trained on "
-                             f"{records[0].active_size} samples")
-        cands = CandidateSet(
-            ids=ids,
-            redundant=[Tag(e["tag"]) is Tag.REDUNDANT for e in entries],
-            scores=[e["rank_score"] for e in entries],
-            built_at_epoch=built_at_epoch,
-        )
-        cands.validate(n)
-    except (ValueError, KeyError, TypeError, PrunerError) as exc:
-        raise RunDirError(f"bad candidates file {cand_path}: {exc}") from exc
-    return cands, n
+            raise ValueError(f"n={n}, but the first epoch in {METRICS} trained on {records[0].active_size} samples")
+        if (arrays["redundant"] > 1).any():
+            raise ValueError("a tag is neither 0 (ill-matched) nor 1 (redundant)")
+        counts, excluded = arrays["excluded_count"], arrays["excluded"]
+        if counts.sum() != excluded.size:
+            raise ValueError(f"excluded_count sums to {counts.sum()}, not to the {excluded.size} excluded ids")
+        if excluded.size and (excluded.min() < 0 or excluded.max() >= n):
+            raise ValueError(f"excluded ids must lie in [0, {n})")
+        epochs = arrays["mutate_epoch"]
+        if (epochs[1:] <= epochs[:-1]).any():
+            raise ValueError("mutate_epoch must be strictly increasing")
+        history = [CandidateSet(*cols) for cols in zip(arrays["ids"], arrays["redundant"], arrays["scores"],
+                                                       arrays["built_at_epoch"].tolist())]
+        for cands in history:
+            cands.validate(n)
+    except (DatasetError, ValueError, PrunerError) as exc:
+        raise RunDirError(f"bad rounds file {path / ROUNDS}: {exc}") from exc
+    return history, dict(zip(epochs.tolist(), np.split(excluded, np.cumsum(counts)[:-1]))), n

@@ -18,8 +18,8 @@ from hypothesis import event, given, settings, strategies as st
 from scanprune import load_dataset
 from scanprune.cli import main
 from scanprune.coreset import load_coreset
-from scanprune.dataset import DUPLICATE, MISMATCHED, DatasetError
-from scanprune.rundir import read_metrics
+from scanprune.dataset import DUPLICATE, MISMATCHED, DatasetError, read_frame, write_frame
+from scanprune.rundir import _ROUNDS_MAGIC, _ROUNDS_VERSION, _rounds_layout, read_metrics, read_rounds, read_run
 from scanprune.trainer import CheckpointError, TrainConfig, load_checkpoint
 
 
@@ -64,12 +64,12 @@ def test_train_writes_run_artifacts(data_file, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["method"] == "scan"
     assert manifest["config"]["seed"] == 1
-    for name in ("metrics.jsonl", "checkpoint.bin", "candidates.json"):
-        assert name in manifest["artifacts"]
-        assert (out / name).exists()
-    # mutation epochs 3-5 each dump their excluded ids
-    for epoch in (3, 4, 5):
-        assert (out / f"pruned_epoch{epoch:04d}.txt").exists()
+    assert manifest["artifacts"] == ["checkpoint.bin", "metrics.jsonl", "rounds.bin"]
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "manifest.json", "metrics.jsonl",
+                                                     "rounds.bin"]
+    # one round, prepared at epoch 2; mutation epochs 3-5 each exclude ids from it
+    history, exclusions, n = read_rounds(out)
+    assert n == 64 and [c.built_at_epoch for c in history] == [2] and sorted(exclusions) == [3, 4, 5]
     assert len(read_metrics(out / "metrics.jsonl")) == 6
     load_checkpoint(out / "checkpoint.bin")  # parses cleanly
 
@@ -442,50 +442,65 @@ def test_compare_checkpoint_header_of_no_model_exit_4(data_file, tmp_path, capsy
     assert captured.out == ""
 
 
+def _edit_rounds(path, edit) -> None:
+    """Rewrite the rounds file at ``path`` after ``edit(header, arrays)`` changes its fields in place."""
+    header, arrays = read_frame(path, _ROUNDS_MAGIC, _ROUNDS_VERSION, 5, _rounds_layout)
+    edit(header, arrays)
+    write_frame(path, _ROUNDS_MAGIC, (_ROUNDS_VERSION, *header), list(arrays.values()))
+
+
+def _set(name, index, value):
+    """An edit that sets one header field or array element."""
+    def edit(header, arrays):
+        (header if name == "header" else arrays[name])[index] = value
+    return edit
+
+
+def _no_round(header, arrays):
+    header[1] = 0
+    for name in ("built_at_epoch", "ids", "redundant", "scores"):
+        arrays[name] = arrays[name][:0]
+
+
 def test_export_coreset_rejects_bad_candidates(data_file, tmp_path, capsys):
     ra, rb = tmp_path / "ra", tmp_path / "rb"
     assert _train(data_file, ra, "--seed", "1") == 0
     assert _train(data_file, rb, "--seed", "2") == 0
-    original = (ra / "candidates.json").read_text()
+    path = ra / "rounds.bin"
+    original = path.read_bytes()
 
-    def with_entry(**fields):
-        def mutate(data):
-            data["entries"][0].update(fields)
-            return json.dumps(data)
-        return mutate
-
-    def duplicate_first(data):
-        data["entries"][1]["sample_id"] = data["entries"][0]["sample_id"]
-        return json.dumps(data)
-
-    cases = {
-        "bad json": "{",
-        "missing entries": lambda d: json.dumps({k: v for k, v in d.items() if k != "entries"}),
-        "missing n": lambda d: json.dumps({k: v for k, v in d.items() if k != "n"}),
-        "not an object": "[]",
-        "unknown tag": with_entry(tag="bogus"),
-        "id out of range": with_entry(sample_id=99999),
-        "negative id": with_entry(sample_id=-1),
-        "non-integer id": with_entry(sample_id=1.5),
-        "bad score": with_entry(rank_score="high"),
-        "id past int64": with_entry(sample_id=2 ** 63),
-        "score past float64": with_entry(rank_score=10 ** 400),
-        "infinite built_at_epoch": lambda d: json.dumps({**d, "built_at_epoch": float("inf")}),
-        "fractional built_at_epoch": lambda d: json.dumps({**d, "built_at_epoch": 2.5}),
-        "duplicate id": duplicate_first,
-        "n differs from the run's": lambda d: json.dumps({**d, "n": 3_000_000}),
+    cases = {  # name -> (the file's bytes, or an edit of its header and arrays; the error's text)
+        "bad magic": (b"SCNX" + original[4:], "bad magic"),
+        "another version": (original[:4] + struct.pack("<I", 2) + original[8:], "unsupported version 2"),
+        "truncated": (original[:-1], "truncated"),
+        "overlong": (original + b"\0", "overlong"),
+        "no round": (_no_round, "declares no round"),
+        "tag 2": (_set("redundant", (0, 0), 2), "a tag is neither 0"),
+        "id out of range": (_set("ids", (0, 0), 64), "must lie in [0, 64)"),
+        "negative id": (_set("ids", (0, 0), -1), "must lie in [0, 64)"),
+        "duplicate id": (_set("ids", (0, 1), read_rounds(ra)[0][0].ids[0]), "appears more than once"),
+        "NaN score": (_set("scores", (0, 0), float("nan")), "scores must be finite"),
+        "n differs from the run's": (_set("header", 0, 65), "n=65, but the first epoch"),
+        "counts that do not sum": (_set("excluded_count", 0, 1), "excluded_count sums to"),
+        "excluded id out of range": (_set("excluded", 0, 64), "excluded ids must lie in [0, 64)"),
+        "Mutate epochs out of order": (_set("mutate_epoch", 1, 3), "mutate_epoch must be strictly increasing"),
     }
-    for name, mutate in cases.items():
-        text = mutate(json.loads(original)) if callable(mutate) else mutate
-        (ra / "candidates.json").write_text(text)
+    for name, (bad, message) in cases.items():
+        path.write_bytes(original)
+        if callable(bad):
+            _edit_rounds(path, bad)
+            assert path.read_bytes() != original, name
+        else:
+            path.write_bytes(bad)
         out = tmp_path / "coreset.txt"
         capsys.readouterr()
         assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb),
                      "--rho", "0.25", "--out", str(out)]) == 4, name
-        assert "bad candidates file" in capsys.readouterr().err, name
+        err = capsys.readouterr().err
+        assert "bad rounds file" in err and message in err, name
         assert not out.exists(), name
 
-    (ra / "candidates.json").write_text(original)
+    path.write_bytes(original)
     (ra / "metrics.jsonl").write_text("{\n")
     assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb),
                  "--rho", "0.25", "--out", str(out)]) == 4
@@ -531,17 +546,50 @@ def test_train_empty_out_exit_4_leaves_the_current_directory_as_it_was(data_file
 
 def test_export_coreset_rejects_run_that_is_not_scan(data_file, tmp_path, capsys):
     # a full run trained into a former scan run's directory leaves its
-    # candidates.json behind; the manifest says the run is not a scan run
+    # rounds.bin behind; the manifest says the run is not a scan run
     reused, rb = tmp_path / "reused", tmp_path / "rb"
     assert _train(data_file, reused, "--seed", "1") == 0
     assert _train(data_file, reused, "--method", "full", "--seed", "1") == 0
     assert _train(data_file, rb, "--seed", "2") == 0
-    assert (reused / "candidates.json").exists()
+    assert (reused / "rounds.bin").exists()
     out = tmp_path / "coreset.txt"
     capsys.readouterr()
     assert main(["export-coreset", "--run-a", str(reused), "--run-b", str(rb),
                  "--rho", "0.25", "--out", str(out)]) == 4
     assert "bad run directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_coreset_rejects_run_directory_from_before_rounds_bin(data_file, tmp_path, capsys):
+    # a run written with candidates.json and no rounds.bin has no second reader
+    old, rb = tmp_path / "old", tmp_path / "rb"
+    assert _train(data_file, old, "--seed", "1") == 0
+    assert _train(data_file, rb, "--seed", "2") == 0
+    (old / "rounds.bin").unlink()
+    (old / "candidates.json").write_text(json.dumps({"n": 64, "built_at_epoch": 2, "entries": [
+        {"sample_id": 0, "tag": "redundant", "rank_score": 0.5}]}))
+    manifest = json.loads((old / "manifest.json").read_text())
+    manifest["artifacts"] = ["candidates.json", "checkpoint.bin", "metrics.jsonl"]
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "coreset.txt"
+    capsys.readouterr()
+    assert main(["export-coreset", "--run-a", str(old), "--run-b", str(rb),
+                 "--rho", "0.25", "--out", str(out)]) == 4
+    assert "does not list rounds.bin from a scan run" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_coreset_rho_that_removes_every_sample_exit_4(data_file, tmp_path, capsys):
+    # floor(rho * 64) is 64 for a rho this close to 1 (prune_count's +1e-9):
+    # the coreset would be empty, which train --method static refuses
+    ra, rb, out = tmp_path / "ra", tmp_path / "rb", tmp_path / "coreset.txt"
+    assert _train(data_file, ra, "--seed", "1") == 0
+    assert _train(data_file, rb, "--seed", "2") == 0
+    capsys.readouterr()
+    assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb), "--rho", "0.9999999999999998",
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "removes all 64 samples" in captured.err and captured.out == ""
     assert not out.exists()
 
 
@@ -833,7 +881,7 @@ _READERS = {
     "ra/checkpoint.bin": ("compare",),
     "ra/manifest.json": ("compare", "export"),
     "ra/metrics.jsonl": ("compare", "export"),
-    "ra/candidates.json": ("export",),
+    "ra/rounds.bin": ("export",),
     "coreset.txt": ("static",),
 }
 
@@ -1043,7 +1091,8 @@ def test_train_flags_and_config_fuzzed_exit_0_2_3_or_4(fuzz_data, case):
 # Both rules hold for every command that writes: an empty --out exits 4, and an
 # --out the OS would refuse (a directory where the file goes, a file where a
 # directory goes) exits 3.  Paths are relative to a copy of ``work``: a corpus,
-# two scan runs, a file ``taken`` and an empty directory ``dir``.
+# two scan runs, the coreset exported from them, a file ``taken`` and an empty
+# directory ``dir``.
 
 @pytest.fixture(scope="module")
 def work(fuzz_data):
@@ -1052,6 +1101,8 @@ def work(fuzz_data):
     shutil.copy(fuzz_data, root / "ds.bin")
     for run, seed in (("ra", "1"), ("rb", "2")):
         assert _train(root / "ds.bin", root / run, "--seed", seed) == 0
+    assert main(["export-coreset", "--run-a", str(root / "ra"), "--run-b", str(root / "rb"), "--rho", "0.25",
+                 "--out", str(root / "coreset.txt")]) == 0
     (root / "taken").write_text("")
     (root / "dir").mkdir()
     return root
@@ -1122,20 +1173,23 @@ def test_undecodable_names_print_escaped_on_a_utf8_stdout(work, tmp_path, monkey
     assert load_coreset("c\udcff.txt", n=64)
 
 
-# ------------------------------------- gen-data, export-coreset and compare fuzzed
+# ------------------------------------------------------------ every command fuzzed
 #
 # Each example runs one command in a fresh copy of ``work``.  --n, --dim and
 # --num-classes come only from small ranges or non-numeric text, so a corpus
-# is a few KB.  A non-UTF-8 argv byte arrives as a lone surrogate in
+# is a few KB; schedule's --epochs and train's --tau-stop likewise, so no
+# example prints more than a few rows or trains more than 32 epochs on 64
+# samples.  A non-UTF-8 argv byte arrives as a lone surrogate in
 # U+DC80..U+DCFF; no argv holds a NUL.
 
 _PATHS = st.sampled_from(["", ".", "dir", "dir/", "taken", "taken/x", "absent", "absent/x", "ds.bin", "ra",
-                          "rb", "ra/metrics.jsonl", "ra/candidates.json", "new.out", "dir/new.out",
+                          "rb", "ra/metrics.jsonl", "ra/rounds.bin", "new.out", "dir/new.out",
                           "\udcff", "n\udce9w.out", "ra/\udcff"])
 # Text that is not a number, undecodable bytes among it; no NUL, which no argv can hold.
 _NUMBER = st.sampled_from([v for v in _GARBAGE_TEXT if "\x00" not in v] + ["\udcff", "1\udcff"])
 _RUN = st.sampled_from(["ra", "rb/"])
 _OUT = st.sampled_from(["new.out", "dir/new.out", "ds.bin", "n\udce9w.out"])
+_RUN_OUT = st.sampled_from(["new.run", "dir/new.run", "ra", "n\udce9w.run"])
 
 
 def _fraction(hi: float):
@@ -1165,6 +1219,17 @@ _COMMAND_FLAGS = {  # flag -> (a value the command accepts, a value it may refus
         "--data": (st.just("ds.bin"), _PATHS),
         "--probe-seed": (st.integers(0, 2 ** 70).map(str), st.one_of(st.integers(-3, -1).map(str), _NUMBER)),
     },
+    "schedule": {
+        "--tau-cos": (st.integers(1, 5).map(str), st.one_of(st.integers(-2, 0).map(str), _NUMBER)),
+        "--epochs": (st.integers(0, 12).map(str), st.one_of(st.integers(-3, -1).map(str), _NUMBER)),
+    },
+    "train": {
+        "--data": (st.just("ds.bin"), _PATHS),
+        "--out": (_RUN_OUT, _PATHS),
+        "--coreset": (st.just("coreset.txt"), _PATHS),
+        "--method": (st.just("static"), st.sampled_from(["scan", "full", "random", "bogus"])),
+        "--tau-stop": (st.integers(4, 8).map(str), st.one_of(st.integers(-2, 3).map(str), _NUMBER)),
+    },
 }
 
 
@@ -1186,6 +1251,7 @@ def _command_argv(draw, command: str):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_gen_data_export_and_compare_fuzzed_exit_0_2_3_or_4(work, command, data):
+    """Every command, schedule and train too; the name predates them and is kept so the ids stay."""
     argv = data.draw(_command_argv(command))
     root = Path(tempfile.mkdtemp())
     cwd = os.getcwd()
@@ -1202,11 +1268,20 @@ def test_gen_data_export_and_compare_fuzzed_exit_0_2_3_or_4(work, command, data)
         assert code in (0, 2, 3, 4), argv
         event(f"exit {code}")
         changed = {path for path, _ in before.items() ^ _tree(root).items()}
-        if code == 0 and command != "compare":
+        if code == 0 and command not in ("compare", "schedule"):
             out = argv[argv.index("--out") + 1]
-            assert changed <= {str(Path("work", out))}, (argv, changed)
-            {"gen-data": load_dataset, "export-coreset": load_coreset}[command](out)  # raises unless whole
-        else:  # a refused command, or compare, writes nothing: no *.tmp, no partial artifact
+            written = Path("work", out)
+            if command == "train":  # the run directory, its files and the parents made for it
+                assert all(written.is_relative_to(p) or Path(p).is_relative_to(written)
+                           for p in changed), (argv, changed)
+                read_run(out)  # raises unless whole
+            else:  # only the one file written
+                assert changed <= {str(written)}, (argv, changed)
+                if command == "export-coreset":
+                    assert load_coreset(out), argv  # whole, and never empty
+                else:
+                    load_dataset(out)  # raises unless whole
+        else:  # a refused command, compare or schedule writes nothing: no *.tmp, no partial artifact
             assert not changed, (argv, code, changed)
     finally:
         os.chdir(cwd)

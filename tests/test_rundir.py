@@ -5,34 +5,49 @@ import numpy as np
 import pytest
 
 from scanprune import GenSpec, generate_paired_dataset, rundir
-from scanprune.encoder import init_params
-from scanprune.pruner import CandidateSet, Tag
-from scanprune.trainer import RunResult, TrainConfig, train_full, train_scan
+from scanprune.trainer import TrainConfig, save_checkpoint, train_full, train_scan
+
+
+def _corpus():
+    return generate_paired_dataset(GenSpec(n=128, dim=8, num_classes=4, mismatch_frac=0.1, duplicate_frac=0.1,
+                                           noise_sigma=0.1, seed=0))
 
 
 def _records(train, tau_stop):
-    ds = generate_paired_dataset(GenSpec(n=128, dim=8, num_classes=4, mismatch_frac=0.1, duplicate_frac=0.1,
-                                         noise_sigma=0.1, seed=0))
     cfg = TrainConfig(rho=0.3, tau_cos=3, tau_stop=tau_stop, t_td=1.0, batch_size=64, lr=0.1, out_dim=4)
-    return train(ds, cfg).records
+    return train(_corpus(), cfg).records
 
 
-@pytest.mark.parametrize("size", [0, 1, rundir._ENTRY_SLICE, 2 * rundir._ENTRY_SLICE + 3])
-def test_candidates_file_is_one_json_dump(tmp_path, size):
-    # written a slice at a time, the file must hold the bytes of one json.dump
-    rng = np.random.default_rng(size)
-    final = CandidateSet(ids=rng.permutation(10 * size + 1)[:size], redundant=rng.random(size) < 0.5,
-                         scores=rng.random(size), built_at_epoch=7)
-    result = RunResult(params=init_params(4, 2, seed=0), records=[], candidate_history=[final])
-    rundir.write_run(tmp_path, "scan", TrainConfig(), "corpus.bin", "0" * 64, result, 10 * size + 1,
-                     lambda params, path: None)
-    tags = [(Tag.REDUNDANT if r else Tag.ILL_MATCHED).value for r in final.redundant.tolist()]
-    expected = {"n": 10 * size + 1, "built_at_epoch": 7,
-                "entries": [{"sample_id": sid, "tag": tag, "rank_score": score}
-                            for sid, tag, score in zip(final.ids.tolist(), tags, final.scores.tolist())]}
-    with open(tmp_path / "reference.json", "w") as fh:
-        json.dump(expected, fh)
-    assert (tmp_path / rundir.CANDIDATES).read_bytes() == (tmp_path / "reference.json").read_bytes()
+@pytest.mark.parametrize("tau_cos, tau_stop, rho, rounds, mutates", [
+    (3, 12, 0.3, 3, 7),  # rounds built at epochs 2, 6 and 10
+    (1, 2, 0.3, 1, 0),  # warm-up, then one Prepare and no Mutate
+    (3, 12, 0.001, 3, 7),  # floor(rho * batch) is 0: every round is empty
+])
+def test_rounds_file_gives_back_every_round_and_exclusion(tmp_path, tau_cos, tau_stop, rho, rounds, mutates):
+    ds = _corpus()
+    cfg = TrainConfig(rho=rho, tau_cos=tau_cos, tau_stop=tau_stop, t_td=1.0, batch_size=64, lr=0.1, out_dim=4)
+    result = train_scan(ds, cfg)
+    manifest = rundir.write_run(tmp_path, "scan", cfg, "corpus.bin", "0" * 64, result, ds.n, save_checkpoint)
+    assert manifest["artifacts"] == [rundir.CHECKPOINT, rundir.METRICS, rundir.ROUNDS]
+    history, exclusions, n = rundir.read_rounds(tmp_path)
+    assert n == ds.n and len(history) == rounds and len(exclusions) == mutates
+    for got, want in zip(history, result.candidate_history, strict=True):
+        assert got.built_at_epoch == want.built_at_epoch
+        for name in ("ids", "redundant", "scores"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert list(exclusions) == sorted(result.exclusions)
+    for epoch, ids in result.exclusions.items():
+        assert exclusions[epoch].dtype == ids.dtype and np.array_equal(exclusions[epoch], ids), epoch
+
+
+def test_full_run_writes_no_rounds_file(tmp_path):
+    ds = _corpus()
+    cfg = TrainConfig(rho=0.3, tau_cos=3, tau_stop=6, t_td=1.0, batch_size=64, lr=0.1, out_dim=4)
+    manifest = rundir.write_run(tmp_path, "full", cfg, "corpus.bin", "0" * 64, train_full(ds, cfg), ds.n,
+                                save_checkpoint)
+    assert manifest["artifacts"] == [rundir.CHECKPOINT, rundir.METRICS]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [rundir.CHECKPOINT, rundir.MANIFEST, rundir.METRICS]
 
 
 def test_metrics_roundtrip(tmp_path):
