@@ -208,19 +208,24 @@ def generate_paired_dataset(spec: GenSpec) -> PairedDataset:
     # gathered temporary.
     sigma = spec.noise_sigma
     dup_z = z[dup_ids]
-    z *= sigma
-    block = max(1, (1 << 16) // (2 * spec.dim))
-    for s in range(0, spec.n, block):
-        z[s:s + block] += protos[classes[s:s + block]]
-    dup_z *= 0.1 * sigma
-    dup_z += z[dup_src]
-    z[dup_ids] = dup_z
+    try:
+        with np.errstate(over="raise"):  # a finite sigma can still overflow float64 or float32
+            z *= sigma
+            block = max(1, (1 << 16) // (2 * spec.dim))
+            for s in range(0, spec.n, block):
+                z[s:s + block] += protos[classes[s:s + block]]
+            dup_z *= 0.1 * sigma
+            dup_z += z[dup_src]
+            z[dup_ids] = dup_z
+            del dup_z  # not alive beside the float32 copies, which are the peak
+            view_a, view_b = z[:, 0].astype(np.float32), z[:, 1].astype(np.float32)
+    except FloatingPointError as exc:
+        raise ValidationError(f"noise_sigma={sigma!r} overflows the float32 views ({exc})") from exc
     labels[dup_ids] = labels[dup_src]
-    del dup_z  # not alive beside the float32 copies, which are the peak
 
     ds = PairedDataset(
-        view_a=z[:, 0].astype(np.float32),
-        view_b=z[:, 1].astype(np.float32),
+        view_a=view_a,
+        view_b=view_b,
         labels=labels,
         corruption=corruption,
         num_classes=spec.num_classes,

@@ -31,7 +31,7 @@ class TrainerError(Exception):
 
 
 class TrainingDivergedError(TrainerError):
-    """An epoch produced a non-finite loss."""
+    """An epoch overflowed or produced a non-finite loss."""
 
 
 class CheckpointError(TrainerError):
@@ -64,6 +64,8 @@ class TrainConfig:
                 raise TrainerError(f"{name} must be finite")
         if not (0.0 < self.rho < 0.5):
             raise TrainerError("rho must lie in (0, 0.5)")
+        if prune_count(self.rho, 2):  # then a batch of 2 is all candidates, and a Mutate can drop all n
+            raise TrainerError(f"rho={self.rho!r} is within prune_count's 1e-9 of 0.5, so it counts as 0.5")
         if self.batch_size < 2:
             raise TrainerError("batch_size must be >= 2 (InfoNCE needs negatives)")
         if self.tau_cos < 1:
@@ -194,42 +196,46 @@ def _train(ds: PairedDataset, cfg: TrainConfig, active_ids=None, label: str | No
     history = result.candidate_history
     losses = []  # each finished epoch's mean loss
     c_run = time.process_time()
-    for epoch in range(cfg.tau_stop):
-        t0 = time.perf_counter()
-        phase = round_phase(epoch, warmup_end(losses, cfg.t_td, cfg.epsilon, cfg.tau_stop), cfg.tau_cos)
-        if not scan:
-            active = active_ids(epoch, phase)
-        elif phase.kind is PhaseKind.MUTATE:  # round_phase opens every round with a Prepare
-            tb = time.process_time()
-            excluded = result.exclusions[epoch] = sample_pruned(
-                history[-1], phase.rho_cur, _derived_seed(cfg.seed, epoch, 1))
-            active = active_indices(ds.n, excluded)
-            result.bookkeep_ms += (time.process_time() - tb) * 1e3
-        else:
-            active = np.arange(ds.n)
-        order = _shuffle_rng(cfg.seed, epoch).permutation(active)
-        collect = scan and phase.kind is PhaseKind.PREPARE
-        mean_fg, mean_gf, batches, tables = _run_epoch(params, a, b, order, cfg, collect)
-        if collect:
-            tb = time.process_time()
-            history.append(accumulate(
-                [batch_candidates(fg, gf, ids, cfg.rho) for fg, gf, ids in tables],
-                built_at_epoch=epoch))
-            result.bookkeep_ms += (time.process_time() - tb) * 1e3
-        if not (np.isfinite(mean_fg) and np.isfinite(mean_gf)):
-            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-        result.records.append(EpochRecord(
-            epoch=epoch,
-            phase=phase.name if scan or phase.kind is PhaseKind.WARMUP else label,
-            active_size=len(order),
-            mean_loss_fg=mean_fg,
-            mean_loss_gf=mean_gf,
-            rho_cur=phase.rho_cur if scan else 0.0,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            candidate_size=len(history[-1]) if history else 0,
-        ))
-        result.batches_per_epoch.append(batches)
-        losses.append((mean_fg + mean_gf) / 2.0)
+    try:
+        with np.errstate(over="raise"):  # an overflow is divergence, not a warning
+            for epoch in range(cfg.tau_stop):
+                t0 = time.perf_counter()
+                phase = round_phase(epoch, warmup_end(losses, cfg.t_td, cfg.epsilon, cfg.tau_stop), cfg.tau_cos)
+                if not scan:
+                    active = active_ids(epoch, phase)
+                elif phase.kind is PhaseKind.MUTATE:  # round_phase opens every round with a Prepare
+                    tb = time.process_time()
+                    excluded = result.exclusions[epoch] = sample_pruned(
+                        history[-1], phase.rho_cur, _derived_seed(cfg.seed, epoch, 1))
+                    active = active_indices(ds.n, excluded)
+                    result.bookkeep_ms += (time.process_time() - tb) * 1e3
+                else:
+                    active = np.arange(ds.n)
+                order = _shuffle_rng(cfg.seed, epoch).permutation(active)
+                collect = scan and phase.kind is PhaseKind.PREPARE
+                mean_fg, mean_gf, batches, tables = _run_epoch(params, a, b, order, cfg, collect)
+                if collect:
+                    tb = time.process_time()
+                    history.append(accumulate(
+                        [batch_candidates(fg, gf, ids, cfg.rho) for fg, gf, ids in tables],
+                        built_at_epoch=epoch))
+                    result.bookkeep_ms += (time.process_time() - tb) * 1e3
+                if not (np.isfinite(mean_fg) and np.isfinite(mean_gf)):
+                    raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+                result.records.append(EpochRecord(
+                    epoch=epoch,
+                    phase=phase.name if scan or phase.kind is PhaseKind.WARMUP else label,
+                    active_size=len(order),
+                    mean_loss_fg=mean_fg,
+                    mean_loss_gf=mean_gf,
+                    rho_cur=phase.rho_cur if scan else 0.0,
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                    candidate_size=len(history[-1]) if history else 0,
+                ))
+                result.batches_per_epoch.append(batches)
+                losses.append((mean_fg + mean_gf) / 2.0)
+    except FloatingPointError as exc:
+        raise TrainingDivergedError(f"overflow at epoch {epoch}: {exc}") from exc
     result.cpu_ms = (time.process_time() - c_run) * 1e3
     return result
 

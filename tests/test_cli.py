@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import scanprune
 from scanprune import load_dataset
 from scanprune.cli import main
 from scanprune.coreset import load_coreset
@@ -321,6 +322,39 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "epoch,phase,rho_cur"
+
+
+def test_bad_invocations_of_a_real_process_exit_2_3_or_4_without_a_traceback(data_file, tmp_path):
+    # Each command as a shell runs it: stderr ends in its one error line and holds
+    # no traceback or NumPy warning, and nothing is written.  b"\xff" is a path
+    # byte that is not UTF-8.
+    (tmp_path / "taken").write_text("")
+    gen = ["gen-data", "--n", "16", "--dim", "4", "--num-classes", "2", "--out", "x.bin"]
+    train = ["train", "--data", str(data_file), "--out", "run"]
+    cases = [  # argv, exit code, the end of stderr's last line
+        (gen + ["--noise-sigma", "1e300"], 4, "noise_sigma=1e+300 overflows the float32 views (overflow "
+                                              "encountered in cast)"),
+        (gen + ["--noise-sigma", "1e308"], 4, "noise_sigma=1e+308 overflows the float32 views (overflow "
+                                              "encountered in multiply)"),
+        (train + ["--batch-size", "16", "--tau-stop", "8", "--lr", "1e300"], 4,
+         "training failed: overflow at epoch 0: overflow encountered in multiply"),
+        (train + ["--batch-size", "2", "--tau-cos", "1", "--rho", "0.4999999999999999"], 4, "counts as 0.5"),
+        (train + ["--out", b"taken/\xff"], 3, "Not a directory: 'taken'"),
+        (train + ["--batch-size", "many"], 2, "argument --batch-size: invalid int value: 'many'"),
+        (["schedule", "--tau-cos", "3", "--epochs", "-1"], 4, "epochs must be >= 0"),
+        (["export-coreset", "--run-a", "absent", "--run-b", "absent", "--rho", "0.3", "--out", "c.txt"], 3,
+         "No such file or directory: 'absent/manifest.json'"),
+        (["compare", "--runs", "taken"], 3, "Not a directory: 'taken/manifest.json'"),
+    ]
+    src = str(Path(scanprune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, code, message in cases:
+        proc = subprocess.run([sys.executable, "-m", "scanprune.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True)
+        err = proc.stderr.decode(errors="replace")
+        assert proc.returncode == code and err.endswith(message + "\n"), (argv, err)
+        assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.bin", "taken"]
 
 
 def test_compare_malformed_metrics_exit_4(data_file, tmp_path, capsys):

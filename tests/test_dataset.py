@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,14 @@ def test_genspec_rejects_sizes_beyond_the_u32_header(kw):
 def test_genspec_rejects_non_finite_noise_sigma(sigma):
     with pytest.raises(ValidationError, match="noise_sigma must be finite"):
         _spec(noise_sigma=sigma).validate()
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1e308])  # overflows the float32 cast; the float64 scaling too
+def test_noise_sigma_that_overflows_raises_without_a_warning(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="noise_sigma=.* overflows the float32 views"):
+            generate_paired_dataset(_spec(n=16, dim=4, num_classes=2, noise_sigma=sigma))
 
 
 def test_roundtrip_bit_exact(tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -237,14 +238,33 @@ def test_static_coreset_id_past_int64_is_out_of_range():
 
 
 def test_divergence_guard():
-    # normalization keeps losses finite for any lr, so inject a non-finite
-    # feature to exercise the per-epoch finiteness check
+    # a non-finite feature makes the losses non-finite without any overflow,
+    # which exercises the per-epoch finiteness check
     ds = _ds(n=64)
     va = ds.view_a.copy()
     va[0, 0] = np.inf
     bad = dataclasses.replace(ds, view_a=va)
     with pytest.raises(TrainingDivergedError), np.errstate(invalid="ignore"):
         train_scan(bad, _cfg())
+
+
+def test_overflow_in_training_is_divergence():
+    # lr 1e300 overflows the weights in the first epoch; that once warned and
+    # trained on, with every later epoch's loss exactly log(batch size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError, match="overflow at epoch 0"):
+            train_scan(_ds(n=64, dim=4, nc=2), _cfg(batch_size=16, tau_stop=8, lr=1e300))
+
+
+def test_rho_that_prune_count_takes_for_one_half_is_refused():
+    # prune_count(0.4999999999999999, 2) is 1: every batch of 2 was all
+    # candidates, the Mutate at rho_cur 1 excluded all n, and the empty epoch
+    # divided by zero
+    for rho in (0.4999999999999999, 0.5 - 4e-10):
+        with pytest.raises(TrainerError, match="counts as 0.5"):
+            train_scan(_ds(n=8, dim=4, nc=2), _cfg(rho=rho, batch_size=2, tau_cos=1, tau_stop=4))
+    _cfg(rho=0.5 - 1e-9).validate()
 
 
 def test_config_validation():

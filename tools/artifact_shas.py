@@ -1,10 +1,12 @@
 """SHA-256 of every artifact a "same behaviour" check compares.
 
-    python3 tools/artifact_shas.py --src src --out shas.json
+    python3 tools/artifact_shas.py --src src --out shas.json [--against base.json]
 
 imports ``scanprune`` from ``--src`` and writes one JSON object mapping an
-artifact name to its SHA-256, so a before/after check is two runs (one per
-checkout) and a ``diff`` of the two files.  It covers:
+artifact name to its SHA-256, so a before/after check is two runs, one per
+checkout.  ``--against`` takes the file the other checkout's run wrote: it
+prints each entry that changed or vanished and each new one, and exits 1 if
+any entry changed or vanished.  It covers:
 
 - the criterion-9 config (n=2000, dim=128, seed-7 linear towers) under
   ``train_scan``, ``train_full``, ``train_random_baseline``,
@@ -41,7 +43,8 @@ checkout) and a ``diff`` of the two files.  It covers:
   run whose file sets every ``TrainConfig`` key;
 - the exit codes of ``gen-data``, ``train`` and ``export-coreset`` given a bad
   ``--out``: empty, a directory where the file goes, or a file where a
-  directory goes.
+  directory goes; and of a ``gen-data`` whose ``--noise-sigma`` overflows
+  (1e300, 1e308) and a ``train`` whose ``--lr`` does (1e300).
 
 The CLI runs in a temporary directory with relative paths, so manifests and
 the coreset header are the same bytes in every checkout.
@@ -253,14 +256,33 @@ def cli_shas(main) -> dict[str, str]:
     }
     out["cli/exit_codes"] = _sha(json.dumps([[argv[0], bad, exit_code(*argv, "--out", bad)]
                                              for argv, bads in bad_out.items() for bad in bads]).encode())
+    overflows = (("gen-data", "--n", "16", "--dim", "4", "--num-classes", "2", "--noise-sigma", "1e300"),
+                 ("gen-data", "--n", "16", "--dim", "4", "--num-classes", "2", "--noise-sigma", "1e308"),
+                 ("train", *common, "--lr", "1e300"))
+    out["cli/overflow_exit_codes"] = _sha(json.dumps([exit_code(*argv, "--out", "overflow")
+                                                      for argv in overflows]).encode())
     return out
+
+
+def against(base: dict, shas: dict) -> int:
+    """Print how ``shas`` differs from ``base``; 1 if an entry of ``base`` changed or vanished."""
+    changed = sorted(name for name in base.keys() & shas.keys() if base[name] != shas[name])
+    vanished = sorted(base.keys() - shas.keys())
+    new = sorted(shas.keys() - base.keys())
+    for label, names in (("changed", changed), ("vanished", vanished), ("new", new)):
+        for name in names:
+            print(f"{label:<8} {name}")
+    print(f"{len(base) - len(changed) - len(vanished)} of {len(base)} entries identical, {len(new)} new")
+    return 1 if changed or vanished else 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="directory holding the scanprune package")
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--against", help="JSON file an earlier run wrote: exit 1 if an entry changed or vanished")
     args = parser.parse_args()
+    base = json.loads(Path(args.against).read_text()) if args.against else None
     out_path = Path(args.out).resolve()
     sys.path.insert(0, str(Path(args.src).resolve()))
     import scanprune as sp
@@ -282,7 +304,7 @@ def main() -> int:
             os.chdir(cwd)
     out_path.write_text(json.dumps(dict(sorted(shas.items())), indent=1) + "\n")
     print(f"{len(shas)} artifacts from {Path(sp.__file__).parent} -> {out_path}")
-    return 0
+    return 0 if base is None else against(base, shas)
 
 
 if __name__ == "__main__":
