@@ -15,6 +15,7 @@ import errno
 import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -61,11 +62,11 @@ def write_metrics(records, path) -> None:
             fh.write(json.dumps(asdict(rec)) + "\n")
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}  # matched by exact type: a JSON boolean is no int
 
 
 def read_metrics(path) -> list[EpochRecord]:
-    """Parse a metrics file; a malformed or wrongly typed record raises RunDirError."""
+    """Parse a metrics file; a malformed, wrongly typed or non-finite record raises RunDirError."""
     records = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -76,9 +77,11 @@ def read_metrics(path) -> list[EpochRecord]:
             except (ValueError, TypeError) as exc:
                 raise RunDirError(f"bad run directory {Path(path).parent}: {path}:{lineno}: "
                                   f"bad epoch record: {exc}") from exc
-            if not all(isinstance(getattr(rec, f.name), _JSON_TYPES[f.type]) for f in fields(rec)):
+            # a number must fit a finite float: NaN, an infinity or an int past 1.8e308 does not
+            values = [(getattr(rec, f.name), _JSON_TYPES[f.type]) for f in fields(rec)]
+            if not all(type(v) in types and (type(v) is str or abs(v) <= sys.float_info.max) for v, types in values):
                 raise RunDirError(f"bad run directory {Path(path).parent}: {path}:{lineno}: "
-                                  f"epoch record has a wrongly typed field")
+                                  f"epoch record has a wrongly typed field or a non-finite number")
             records.append(rec)
     return records
 

@@ -41,11 +41,9 @@ class Phase:
         return self.kind.value
 
 
-def should_start_pruning(l_prev: float, l_cur: float, t_td: float, epsilon: float) -> bool:
-    """True once the relative loss drop has fallen below ``t_td``."""
-    if epsilon <= 0.0:
-        raise SchedulerError("epsilon must be positive")
-    return (l_prev - l_cur) / (l_prev + epsilon) < t_td
+def should_start_pruning(l_prev: float, l_cur: float, t_td: float) -> bool:
+    """True once the loss drop relative to ``l_prev + 1e-12`` (a constant guard) falls below ``t_td``."""
+    return (l_prev - l_cur) / (l_prev + 1e-12) < t_td
 
 
 def mutation_ratio(tau_cur: int, tau_cos: int) -> float:
@@ -64,7 +62,7 @@ def warmup_cap(tau_stop: int) -> int:
     return math.ceil(tau_stop / 4)
 
 
-def warmup_end(losses, t_td: float, epsilon: float, tau_stop: int) -> int | None:
+def warmup_end(losses, t_td: float, tau_stop: int) -> int | None:
     """First post-warm-up epoch given the epoch mean ``losses`` so far; None while warming up.
 
     That is the first ``k >= 2`` whose drop ``losses[k-2] -> losses[k-1]``
@@ -73,7 +71,7 @@ def warmup_end(losses, t_td: float, epsilon: float, tau_stop: int) -> int | None
     """
     cap = warmup_cap(tau_stop)
     for k in range(2, min(len(losses), cap) + 1):
-        if should_start_pruning(losses[k - 2], losses[k - 1], t_td, epsilon):
+        if should_start_pruning(losses[k - 2], losses[k - 1], t_td):
             return k
     return cap if len(losses) >= cap else None
 

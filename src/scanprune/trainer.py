@@ -49,7 +49,6 @@ class TrainConfig:
     tau_cos: int = 3
     tau_stop: int = 32
     t_td: float = 0.3
-    epsilon: float = 1e-12
     batch_size: int = 128
     lr: float = 0.05
     out_dim: int = 8
@@ -59,7 +58,7 @@ class TrainConfig:
     hidden_dim: int | None = None
 
     def validate(self) -> None:
-        for name in ("rho", "t_td", "epsilon", "lr"):
+        for name in ("rho", "t_td", "lr"):
             if not math.isfinite(getattr(self, name)):
                 raise TrainerError(f"{name} must be finite")
         if not (0.0 < self.rho < 0.5):
@@ -72,8 +71,6 @@ class TrainConfig:
             raise TrainerError("tau_cos must be >= 1")
         if self.tau_stop <= self.tau_cos:
             raise TrainerError("tau_stop must exceed tau_cos")
-        if self.epsilon <= 0.0:
-            raise TrainerError("epsilon must be positive")
         if self.lr <= 0.0:
             raise TrainerError("lr must be positive")
         if self.out_dim < 1:
@@ -200,7 +197,7 @@ def _train(ds: PairedDataset, cfg: TrainConfig, active_ids=None, label: str | No
         with np.errstate(over="raise"):  # an overflow is divergence, not a warning
             for epoch in range(cfg.tau_stop):
                 t0 = time.perf_counter()
-                phase = round_phase(epoch, warmup_end(losses, cfg.t_td, cfg.epsilon, cfg.tau_stop), cfg.tau_cos)
+                phase = round_phase(epoch, warmup_end(losses, cfg.t_td, cfg.tau_stop), cfg.tau_cos)
                 if not scan:
                     active = active_ids(epoch, phase)
                 elif phase.kind is PhaseKind.MUTATE:  # round_phase opens every round with a Prepare
@@ -313,7 +310,7 @@ def _fit_probe(x_tr: np.ndarray, y_tr: np.ndarray, n_cls: int) -> tuple[np.ndarr
     - the matmuls are its calls on the ``(n, n_cls)`` buffer ``g_nc``; the
       logits move class-major in the bias add and the gradient moves back in
       the ``/ n``, both elementwise;
-    - the row max is a running ``np.maximum`` over the class rows (max is
+    - the row max is one ``np.maximum.reduce`` over the class rows (max is
       exact in any order);
     - the softmax denominator replays ``g.sum(axis=1)``'s pairwise order over
       the class rows (``_pairwise_sum``);
@@ -333,9 +330,7 @@ def _fit_probe(x_tr: np.ndarray, y_tr: np.ndarray, n_cls: int) -> tuple[np.ndarr
     for _ in range(200):
         np.matmul(x_tr, w.T, out=g_nc)
         np.add(g_nc.T, bias[:, None], out=g)
-        np.copyto(row_max, g[0])
-        for row in g[1:]:
-            np.maximum(row_max, row, out=row_max)
+        np.maximum.reduce(g, axis=0, out=row_max)
         g -= row_max
         np.exp(g, out=g)
         g /= _pairwise_sum(g, row_max, work)

@@ -229,7 +229,7 @@ def test_schedule_streams_its_rows():
 
 
 def test_invalid_numbers_exit_4_before_training(data_file, tmp_path, capsys):
-    cases = (["--epsilon", "0"], ["--lr", "nan"], ["--t-td", "inf"], ["--tau-cos", "0"],
+    cases = (["--rho", "0.5"], ["--lr", "nan"], ["--t-td", "inf"], ["--tau-cos", "0"],
              ["--mlp", "--hidden-dim", "0"])
     for i, extra in enumerate(cases):
         out = tmp_path / f"run{i}"
@@ -300,6 +300,38 @@ def test_config_file_rejects_unknown_key(data_file, tmp_path):
                  "--out", str(tmp_path / "run")]) == 4
 
 
+def test_epsilon_is_refused_as_a_flag_and_as_a_config_key(data_file, tmp_path, capsys):
+    # the warm-up rule's division guard is the constant 1e-12, not a setting
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        _train(data_file, out, "--epsilon", "0")
+    assert exc.value.code == 2
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("epsilon = 1e-12\n")
+    capsys.readouterr()
+    assert _train(data_file, out, "--config", str(cfg)) == 4
+    assert "unknown config key: epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_whose_manifest_records_epsilon_still_reads(data_file, tmp_path, capsys):
+    ra, rb, cs = tmp_path / "ra", tmp_path / "rb", tmp_path / "coreset.txt"
+    assert _train(data_file, ra, "--seed", "1") == 0
+    assert _train(data_file, rb, "--seed", "2") == 0
+    compare = ["compare", "--runs", f"{ra},{rb}", "--data", str(data_file), "--probe-seed", "0"]
+    export = ["export-coreset", "--run-a", str(ra), "--run-b", str(rb), "--rho", "0.25", "--out", str(cs)]
+    capsys.readouterr()
+    assert main(compare) == 0 and main(export) == 0
+    want = capsys.readouterr().out, cs.read_bytes()
+    for run in (ra, rb):  # as a run written before epsilon became a constant records it
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["config"]["epsilon"] = 1e-12
+        (run / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    cs.unlink()
+    assert main(compare) == 0 and main(export) == 0
+    assert (capsys.readouterr().out, cs.read_bytes()) == want
+
+
 def test_config_line_without_equals_exit_4(data_file, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("# comment\nlr 0.1\n")
@@ -362,7 +394,10 @@ def test_compare_malformed_metrics_exit_4(data_file, tmp_path, capsys):
     assert _train(data_file, run) == 0
     good = (run / "metrics.jsonl").read_text().splitlines()[0]
     wrong_type = json.dumps(dict(json.loads(good), active_size="many"))
-    for bad in ("{", '{"epoch": 1}', "[1, 2]", wrong_type):
+    bool_and_non_finite = json.dumps(dict(json.loads(good), epoch=True, active_size=True,
+                                          mean_loss_fg=float("nan"), mean_loss_gf=float("inf")))
+    past_float = json.dumps(dict(json.loads(good), wall_ms=10 ** 400))  # compare's sum once overflowed
+    for bad in ("{", '{"epoch": 1}', "[1, 2]", wrong_type, bool_and_non_finite, past_float):
         (run / "metrics.jsonl").write_text(good + "\n" + bad + "\n")
         capsys.readouterr()
         assert main(["compare", "--runs", str(run)]) == 4, bad
@@ -984,7 +1019,6 @@ _NON_DEFAULT = {
     "tau_cos": ("2", 2),
     "tau_stop": ("7", 7),
     "t_td": ("0.5", 0.5),
-    "epsilon": ("1e-09", 1e-9),
     "batch_size": ("16", 16),
     "lr": ("0.2", 0.2),
     "out_dim": ("3", 3),
@@ -1047,7 +1081,7 @@ def _value_text(key: str):
         return st.one_of(st.sampled_from(["paired", "view_pair", "PAIRED", "view-pair"]), _GARBAGE)
     if key == "mlp":
         return st.one_of(st.sampled_from(["yes", "no", "1", "0", "True", "false", "maybe"]), _GARBAGE)
-    return _FLOAT_TEXT  # rho, t_td, epsilon, lr; and any unknown key
+    return _FLOAT_TEXT  # rho, t_td, lr; and any unknown key
 
 
 _KEYS = [f.name for f in fields(TrainConfig)] + ["Rho", "tau stop", "batch-size", "\u03c1", "\ufeffrho", ""]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from scanprune import GenSpec, Mode, TrainConfig, generate_paired_dataset, rundir, trainer
-from scanprune.pruner import prune_count
+from scanprune.pruner import active_indices, prune_count
 from scanprune.scheduler import PhaseKind, round_phase, warmup_end
 from scanprune.trainer import TrainerError, load_checkpoint, save_checkpoint, train_full
 
@@ -106,7 +106,7 @@ def test_every_epoch_keeps_the_loop_contract(case):
     losses, last, like_full, mutates, passes = [], None, True, [], iter(batches)
     for rec, n_batches, full_rec in zip(result.records, result.batches_per_epoch, full.records, strict=True):
         epoch = rec.epoch
-        phase = round_phase(epoch, warmup_end(losses, cfg.t_td, cfg.epsilon, cfg.tau_stop), cfg.tau_cos)
+        phase = round_phase(epoch, warmup_end(losses, cfg.t_td, cfg.tau_stop), cfg.tau_cos)
         losses.append((rec.mean_loss_fg + rec.mean_loss_gf) / 2.0)
         warm = phase.kind is PhaseKind.WARMUP
         if scan:
@@ -114,7 +114,7 @@ def test_every_epoch_keeps_the_loop_contract(case):
         else:
             assert (rec.phase, rec.rho_cur) == ("WarmUp" if warm else _LABEL[case.method], 0.0)
 
-        active = np.arange(n)  # the ids the epoch trains on; None for a random draw, known by its size only
+        active = np.arange(n)  # the ids the epoch trains on
         if scan and phase.kind is PhaseKind.MUTATE:
             mutates.append(epoch)
             excluded = result.exclusions[epoch]
@@ -124,17 +124,18 @@ def test_every_epoch_keeps_the_loop_contract(case):
             active = np.setdiff1d(active, excluded)
         elif case.method == "static":
             active = np.array(case.coreset, dtype=np.int64)
-        elif case.method == "random" and not warm:
-            active = None
-        size = n - prune_count(cfg.rho, n) if active is None else active.size
+        elif case.method == "random" and not warm:  # floor(rho * n) ids dropped, drawn afresh each epoch
+            drop = trainer._shuffle_rng(cfg.seed, epoch, stream=3).choice(n, prune_count(cfg.rho, n), replace=False)
+            active = active_indices(n, drop)
+            assert active.size == n - prune_count(cfg.rho, n)
+        size = active.size
         assert rec.active_size == size
         assert n_batches == -(-size // cfg.batch_size)
         sizes = [min(cfg.batch_size, size - start) for start in range(0, size, cfg.batch_size)]
         rows = [next(passes) for _ in sizes]
         assert [len(x) for x in rows] == sizes
-        if active is not None:  # the epoch's active ids, in the seeded order every method shares
-            order = trainer._shuffle_rng(cfg.seed, epoch).permutation(active)
-            assert np.array_equal(np.concatenate(rows), a[order])
+        order = trainer._shuffle_rng(cfg.seed, epoch).permutation(active)  # the order every method shares
+        assert np.array_equal(np.concatenate(rows), a[order])
 
         if scan and phase.kind is PhaseKind.PREPARE:
             last = rounds[epoch]

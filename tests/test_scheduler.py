@@ -17,16 +17,11 @@ from scanprune.scheduler import (
 
 def test_should_start_pruning_examples():
     # large relative drop: model still moving, keep warming up
-    assert should_start_pruning(10.0, 6.0, 0.3, 1e-12) is False
+    assert should_start_pruning(10.0, 6.0, 0.3) is False
     # drop below threshold: stable enough, start pruning
-    assert should_start_pruning(6.0, 4.5, 0.3, 1e-12) is True
-    # flat zero losses: epsilon guards the division
-    assert should_start_pruning(0.0, 0.0, 0.3, 1e-12) is True
-
-
-def test_should_start_pruning_epsilon_guard():
-    with pytest.raises(SchedulerError):
-        should_start_pruning(1.0, 0.5, 0.3, 0.0)
+    assert should_start_pruning(6.0, 4.5, 0.3) is True
+    # flat zero losses: the fixed 1e-12 guards the division
+    assert should_start_pruning(0.0, 0.0, 0.3) is True
 
 
 def test_mutation_ratio_tau_cos_3_sequence():
@@ -60,7 +55,7 @@ def test_warmup_cap():
 
 
 def _end(losses, t_td=0.3, tau_stop=32):
-    return warmup_end(losses, t_td, 1e-12, tau_stop)
+    return warmup_end(losses, t_td, tau_stop)
 
 
 def test_phase_machine_example_round():
@@ -110,7 +105,7 @@ def test_round_phase_rejects_bad_tau_cos():
             round_phase(epoch, end, 0)
 
 
-def _reference_schedule(losses, tau_cos, tau_stop, t_td, epsilon=1e-12):
+def _reference_schedule(losses, tau_cos, tau_stop, t_td):
     """``(warmup_end, phase)`` at epochs ``0..len(losses)`` from the stateful rule:
     a clock and the last loss, advanced once per finished epoch, with warm-up
     ending at the first epoch count where the drop fires or the cap is reached."""
@@ -125,7 +120,7 @@ def _reference_schedule(losses, tau_cos, tau_stop, t_td, epsilon=1e-12):
         rows.append((end, phase))
         if tau_cur < len(losses):
             l_prev, l_cur = l_cur, losses[tau_cur]
-            fired = tau_cur + 1 >= 2 and should_start_pruning(l_prev, l_cur, t_td, epsilon)
+            fired = tau_cur + 1 >= 2 and should_start_pruning(l_prev, l_cur, t_td)
             if end is None and (fired or tau_cur + 1 >= warmup_cap(tau_stop)):
                 end = tau_cur + 1
     return rows
@@ -147,6 +142,6 @@ def test_schedule_matches_the_stateful_rule(case):
     losses, tau_cos, tau_stop, t_td = case
     got = []
     for epoch in range(len(losses) + 1):
-        end = warmup_end(losses[:epoch], t_td, 1e-12, tau_stop)
+        end = warmup_end(losses[:epoch], t_td, tau_stop)
         got.append((end, round_phase(epoch, end, tau_cos)))
     assert got == _reference_schedule(losses, tau_cos, tau_stop, t_td)

@@ -271,8 +271,8 @@ def test_config_validation():
     nan, inf = float("nan"), float("inf")
     for bad in (dict(rho=0.0), dict(rho=0.5), dict(rho=nan), dict(batch_size=1),
                 dict(tau_stop=3), dict(tau_cos=0), dict(lr=0.0), dict(lr=nan), dict(lr=inf),
-                dict(t_td=nan), dict(t_td=inf), dict(epsilon=0.0), dict(epsilon=nan),
-                dict(epsilon=inf), dict(out_dim=0), dict(mlp=True, hidden_dim=0), dict(hidden_dim=16)):
+                dict(t_td=nan), dict(t_td=inf), dict(out_dim=0), dict(mlp=True, hidden_dim=0),
+                dict(hidden_dim=16)):
         cfg = _cfg(**bad)
         with pytest.raises(TrainerError):
             cfg.validate()

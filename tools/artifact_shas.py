@@ -44,7 +44,9 @@ any entry changed or vanished.  It covers:
 - the exit codes of ``gen-data``, ``train`` and ``export-coreset`` given a bad
   ``--out``: empty, a directory where the file goes, or a file where a
   directory goes; and of a ``gen-data`` whose ``--noise-sigma`` overflows
-  (1e300, 1e308) and a ``train`` whose ``--lr`` does (1e300).
+  (1e300, 1e308) and a ``train`` whose ``--lr`` does (1e300); and of a
+  ``train`` given ``--epsilon 0`` or a config file with an ``epsilon`` key
+  (the warm-up rule's 1e-12 guard is a constant, not an option).
 
 The CLI runs in a temporary directory with relative paths, so manifests and
 the coreset header are the same bytes in every checkout.
@@ -238,7 +240,7 @@ def cli_shas(main) -> dict[str, str]:
     run("gen-data", "--n", "600", "--dim", "16", "--num-classes", "6", "--out", "defaults.bin")
     out["cli/defaults.bin"] = _sha(Path("defaults.bin").read_bytes())
     Path("every_key.cfg").write_text(
-        "rho = 0.25\ntau_cos = 2\ntau_stop = 9\nt_td = 1.0\nepsilon = 1e-10\nbatch_size = 48\n"
+        "rho = 0.25\ntau_cos = 2\ntau_stop = 9\nt_td = 1.0\nbatch_size = 48\n"
         "lr = 0.3\nout_dim = 6\nseed = 4\nmode = view_pair\nmlp = yes\nhidden_dim = 24\n")
     run("train", "--data", "data.bin", "--out", "every_key", "--config", "every_key.cfg")
     for artifact in ("manifest.json", "checkpoint.bin"):
@@ -246,7 +248,10 @@ def cli_shas(main) -> dict[str, str]:
 
     def exit_code(*argv) -> int:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main(list(argv))
+            try:
+                return main(list(argv))
+            except SystemExit as exc:  # argparse's refusal
+                return exc.code
 
     Path("taken").write_text("")
     bad_out = {  # command -> the --out values it refuses
@@ -261,6 +266,10 @@ def cli_shas(main) -> dict[str, str]:
                  ("train", *common, "--lr", "1e300"))
     out["cli/overflow_exit_codes"] = _sha(json.dumps([exit_code(*argv, "--out", "overflow")
                                                       for argv in overflows]).encode())
+    Path("epsilon.cfg").write_text("epsilon = 1e-12\n")
+    out["cli/epsilon_exit_codes"] = _sha(json.dumps([exit_code("train", *common, *flags, "--out", "epsilon")
+                                                     for flags in (("--epsilon", "0"),
+                                                                   ("--config", "epsilon.cfg"))]).encode())
     return out
 
 
