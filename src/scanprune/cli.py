@@ -8,7 +8,6 @@ partial file), 4 invalid config or data, an empty ``--out``, or out of memory.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import MISSING, fields, replace
 from typing import get_type_hints
@@ -47,17 +46,6 @@ def _fmt(x) -> str:
     return str(x).encode("utf-8", "backslashreplace").decode()
 
 
-def _default_seed() -> int:
-    """``SCAN_SEED``, the seed of a command given no ``--seed``; read only when one is needed."""
-    raw = os.environ.get("SCAN_SEED", "0")
-    try:
-        if int(raw) >= 0:
-            return int(raw)
-    except ValueError:
-        pass
-    raise CliError(f"SCAN_SEED must be a non-negative integer, got {raw!r}")
-
-
 # ------------------------------------------------- TrainConfig and GenSpec
 
 def _parse_bool(raw: str) -> bool:
@@ -86,20 +74,14 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
     for f in fields(cls):
         parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                             required=f.default is MISSING,
-                            help="default: $SCAN_SEED, else 0" if f.name == "seed" else None,
                             **_FIELD_TYPES[types[f.name]][1])
 
 
 def _from_flags(cls, args, values: dict):
-    """``cls`` from ``values`` (a config file's) overridden by the flags given.
-
-    ``seed`` falls back to ``SCAN_SEED`` when neither sets it.
-    """
+    """``cls`` from ``values`` (a config file's) overridden by the flags given."""
     for f in fields(cls):
         if getattr(args, f.name) is not None:
             values[f.name] = getattr(args, f.name)
-    if "seed" not in values:
-        values["seed"] = _default_seed()
     return cls(**values)
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scanprune.pruner import prune_count
+
 CLEAN = 0
 MISMATCHED = 1
 DUPLICATE = 2
@@ -153,9 +155,8 @@ def _class_prototypes(rng: np.random.Generator, num_classes: int, dim: int) -> n
 def generate_paired_dataset(spec: GenSpec) -> PairedDataset:
     """Generate a corpus per ``spec``; deterministic for a fixed seed."""
     spec.validate()
-    # Tiny bias guards against float artifacts like 0.29 * 100 == 28.999...
-    n_mm = int(spec.mismatch_frac * spec.n + 1e-9)
-    n_dup = int(spec.duplicate_frac * spec.n + 1e-9)
+    n_mm = prune_count(spec.mismatch_frac, spec.n)
+    n_dup = prune_count(spec.duplicate_frac, spec.n)
     if n_dup > 0 and n_mm + n_dup >= spec.n:
         raise ValidationError("duplicates require at least one clean row")
 

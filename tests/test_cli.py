@@ -247,14 +247,6 @@ def test_compare_empty_metrics_exit_4(data_file, tmp_path, capsys):
     assert "no epoch records" in capsys.readouterr().err
 
 
-def test_seed_env_fallback(data_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("SCAN_SEED", "7")
-    out = tmp_path / "run"
-    assert _train(data_file, out) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 7
-
-
 def test_negative_or_malformed_seed_exit_4(data_file, tmp_path, monkeypatch, capsys):
     gen = ["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--out", str(tmp_path / "g.bin")]
     assert main(gen + ["--seed", "-1"]) == 4
@@ -268,16 +260,18 @@ def test_negative_or_malformed_seed_exit_4(data_file, tmp_path, monkeypatch, cap
     # rejected before any run is read: the run directory does not exist
     assert main(["compare", "--runs", str(tmp_path / "absent"), "--probe-seed", "-1"]) == 4
     assert "--probe-seed" in capsys.readouterr().err
-    for raw in ("abc", "-3"):
+    assert not (tmp_path / "g.bin").exists()
+    # the environment sets no seed: a command given no --seed takes the default 0
+    monkeypatch.delenv("SCAN_SEED", raising=False)
+    assert main(gen) == 0
+    unset = (tmp_path / "g.bin").read_bytes()
+    for raw in ("7", "abc"):
         monkeypatch.setenv("SCAN_SEED", raw)
-        assert main(gen) == 4
-        assert "SCAN_SEED" in capsys.readouterr().err
-        assert _train(data_file, tmp_path / "env") == 4
-        assert "SCAN_SEED" in capsys.readouterr().err
-        # commands that need no seed from the environment do not read it
-        assert main(["schedule", "--tau-cos", "2", "--epochs", "3"]) == 0
-        assert _train(data_file, tmp_path / "flag", "--seed", "2") == 0
-    assert not (tmp_path / "g.bin").exists() and not (tmp_path / "env").exists()
+        assert main(gen) == 0
+        assert (tmp_path / "g.bin").read_bytes() == unset
+        out = tmp_path / f"env-{raw}"
+        assert _train(data_file, out) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 0
 
 
 def test_config_file_with_flag_override(data_file, tmp_path):

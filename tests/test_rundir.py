@@ -41,21 +41,6 @@ def test_rounds_file_gives_back_every_round_and_exclusion(tmp_path, tau_cos, tau
         assert exclusions[epoch].dtype == ids.dtype and np.array_equal(exclusions[epoch], ids), epoch
 
 
-def test_full_run_writes_no_rounds_file(tmp_path):
-    ds = _corpus()
-    cfg = TrainConfig(rho=0.3, tau_cos=3, tau_stop=6, t_td=1.0, batch_size=64, lr=0.1, out_dim=4)
-    manifest = rundir.write_run(tmp_path, "full", cfg, "corpus.bin", "0" * 64, train_full(ds, cfg), ds.n,
-                                save_checkpoint)
-    assert manifest["artifacts"] == [rundir.CHECKPOINT, rundir.METRICS]
-    assert sorted(p.name for p in tmp_path.iterdir()) == [rundir.CHECKPOINT, rundir.MANIFEST, rundir.METRICS]
-
-
-def test_metrics_roundtrip(tmp_path):
-    records = _records(train_scan, 6)
-    rundir.write_metrics(records, tmp_path / rundir.METRICS)
-    assert rundir.read_metrics(tmp_path / rundir.METRICS) == records
-
-
 def test_read_metrics_rejects_malformed_records(tmp_path):
     path = tmp_path / rundir.METRICS
     rundir.write_metrics(_records(train_full, 6), path)

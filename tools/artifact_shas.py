@@ -38,8 +38,8 @@ any entry changed or vanished.  It covers:
   --data`` rows without ``wall_ms`` and the ``scan schedule`` tables
   (``--tau-cos`` 3, 1, 2 and 5, the header-only ``--epochs 0`` and
   ``--tau-cos 3 --epochs 100000``);
-- the corpus of a ``gen-data`` given only its required flags (seed from an
-  unset ``SCAN_SEED``), and the manifest and checkpoint of a ``train --config``
+- the corpus of a ``gen-data`` given only its required flags (seed 0, the
+  default), and the manifest and checkpoint of a ``train --config``
   run whose file sets every ``TrainConfig`` key;
 - the exit codes of ``gen-data``, ``train`` and ``export-coreset`` given a bad
   ``--out``: empty, a directory where the file goes, or a file where a
@@ -297,7 +297,7 @@ def main() -> int:
     import scanprune as sp
     from scanprune.cli import main as cli_main
 
-    os.environ.pop("SCAN_SEED", None)  # gen-data given no --seed reads it
+    os.environ.pop("SCAN_SEED", None)  # older trees' gen-data, given no --seed, reads it
     shas = {}
     with tempfile.TemporaryDirectory() as tmp:
         shas.update(library_shas(sp, Path(tmp)))
