@@ -2,8 +2,8 @@
 
 Per batch and per loss direction, the k lowest-loss samples are tagged
 redundant and the k highest ill-matched (k = floor(rho * batch)).  The two
-directions are merged by intersection first, then topped up from a combined
-rank ordering so each category always contributes exactly k ids.  Candidate
+directions are merged by intersection first, then topped up in combined-rank
+order so each category always contributes exactly k ids.  Candidate
 sets accumulate over one preparation epoch and are redrawn from scratch each
 round; mutation epochs exclude a seeded uniform draw from the candidates.
 
@@ -15,9 +15,9 @@ in ascending id order; ``accumulate`` concatenates the batches in training
 order.  Exclusions and active sets are sorted int64 id arrays.
 
 ``select_batch_candidates``, ``rank_orders`` and ``merge_directions`` compose
-the same selection step by step on Python sets; ``batch_candidates`` is the
-vectorised path the trainer runs, and the tests check it against the
-composition.
+the same selection step by step on Python sets.  ``batch_candidates``, the path
+the trainer runs, states the merge as one sort key per category, and the tests
+check it against the composition.
 """
 
 from __future__ import annotations
@@ -164,8 +164,10 @@ def batch_candidates(fg_losses, gf_losses, ids, rho: float) -> CandidateSet:
     """Full per-batch pipeline: per-direction selection, merge, scoring.
 
     Equivalent to composing select_batch_candidates / rank_orders /
-    merge_directions, but operates on batch positions with boolean masks so
-    the per-batch cost stays negligible next to the gradient step.
+    merge_directions.  Each category takes the k batch slots with the smallest
+    key.  Redundant keys a slot by its combined-rank position, plus b unless
+    both directions rank it among their k lowest; ill-matched does the same
+    with the k highest and keys the redundant slots 2b.
     """
     if not (0.0 < rho < 0.5):
         raise PrunerError("rho must lie in (0, 0.5)")
@@ -179,43 +181,40 @@ def batch_candidates(fg_losses, gf_losses, ids, rho: float) -> CandidateSet:
     if not (np.isfinite(fg).all() and np.isfinite(gf).all()):
         raise PrunerError("losses must be finite")
 
+    # Put the slots in id order, so a category's slots, once sorted, are its id-ordered layout.
+    by_id = np.argsort(ids, kind="stable")
+    ids, fg, gf = ids[by_id], fg[by_id], gf[by_id]
     arange = np.arange(b)
-    rank_fg = np.empty(b, dtype=np.int64)
-    rank_fg[np.lexsort((ids, fg))] = arange
-    rank_gf = np.empty(b, dtype=np.int64)
-    rank_gf[np.lexsort((ids, gf))] = arange
+
+    def positions(order: np.ndarray) -> np.ndarray:
+        """Inverse permutation: the position of each slot in ``order``."""
+        pos = np.empty_like(order)
+        pos[order] = arange
+        return pos
+
+    rank_fg = positions(np.lexsort((ids, fg)))
+    rank_gf = positions(np.lexsort((ids, gf)))
     red_rank = rank_fg + rank_gf
-    red_order = np.lexsort((ids, red_rank))
-    ill_order = np.lexsort((ids, -red_rank))
+    red_pos = positions(np.lexsort((ids, red_rank)))
+    ill_pos = positions(np.lexsort((ids, -red_rank)))
 
-    def by_id(positions: np.ndarray) -> np.ndarray:
-        return positions[np.argsort(ids[positions], kind="stable")]
+    def k_smallest(key: np.ndarray) -> np.ndarray:
+        return np.sort(np.argsort(key)[:k])
 
-    # rank_fg is a permutation of 0..b-1, so each core below holds at most k ids.
-    chosen = np.zeros(b, dtype=bool)
-    core = arange[(rank_fg < k) & (rank_gf < k)]
-    chosen[core] = True
-    fill = red_order[~chosen[red_order]][: k - core.shape[0]]
-    chosen[fill] = True
-    red = np.concatenate((core, fill))
-
-    core = arange[(rank_fg >= b - k) & (rank_gf >= b - k) & ~chosen]
-    chosen[core] = True
-    fill = ill_order[~chosen[ill_order]][: k - core.shape[0]]
-    ill = np.concatenate((core, fill))
+    # Each direction's ranks are a permutation, so each core (both directions
+    # agree) holds at most k slots and sorts ahead of every top-up slot.
+    # rho < 0.5 gives k <= b - k, so ill-matched never runs out of slots.
+    red = k_smallest(np.where((rank_fg < k) & (rank_gf < k), red_pos, red_pos + b))
+    ill_key = np.where((rank_fg >= b - k) & (rank_gf >= b - k), ill_pos, ill_pos + b)
+    ill_key[red] = 2 * b
+    ill = k_smallest(ill_key)
 
     # Confidence: distance of the combined rank from the category's far end,
     # normalized to [0, 1] so scores are comparable across batch sizes.
-    denom = max(b - 1, 1)
-    red_pos = np.empty(b, dtype=np.int64)
-    red_pos[red_order] = arange
-    ill_pos = np.empty(b, dtype=np.int64)
-    ill_pos[ill_order] = arange
-    keep = np.concatenate((by_id(red), by_id(ill)))
     return CandidateSet(
-        ids=ids[keep],
+        ids=np.concatenate((ids[red], ids[ill])),
         redundant=np.repeat([True, False], k),
-        scores=1.0 - np.concatenate((red_pos[keep[:k]], ill_pos[keep[k:]])) / denom,
+        scores=1.0 - np.concatenate((red_pos[red], ill_pos[ill])) / max(b - 1, 1),
     )
 
 

@@ -2,8 +2,10 @@
 
 All loops share the same seeded per-epoch shuffling, so runs that differ only
 in pruning strategy have bit-identical warm-up trajectories.  Candidate
-selection reuses the loss values from the training forward pass of each batch;
-a forward-pass counter makes that auditable.
+selection reuses the loss values from the training forward pass of each batch.
+``RunResult.forward_passes`` is the sum of ``batches_per_epoch``; the audit of
+one forward pass per batch is the ``gradients`` call count that
+``bench/test_tracer.py`` and ``tests/test_loop_contract.py`` record.
 """
 
 from __future__ import annotations

@@ -107,9 +107,11 @@ def test_merge_target_must_be_even():
 
 def test_batch_candidates_matches_composed_pipeline():
     rng = np.random.default_rng(17)
-    for trial in range(100):
-        b = int(rng.integers(2, 128))
-        rho = float(rng.uniform(0.05, 0.49))
+    for trial in range(500):
+        b = int(rng.integers(2, 128)) if trial > 1 else trial + 2
+        # every fourth rho is the largest below 0.5: k = floor(b / 2), and ill-matched
+        # has exactly the slots redundant leaves when b is even
+        rho = float(np.nextafter(0.5, 0.0)) if trial % 4 == 0 else float(rng.uniform(0.05, 0.49))
         ids = rng.permutation(2000)[:b]
         fg = np.round(rng.standard_normal(b), 1 if trial % 3 == 0 else 6)
         gf = np.round(rng.standard_normal(b), 1 if trial % 3 == 0 else 6)
@@ -128,7 +130,7 @@ def test_batch_candidates_matches_composed_pipeline():
         assert got_red == sorted(red) and got_ill == sorted(ill)
         for sid, is_red, score in zip(cs.ids.tolist(), cs.redundant.tolist(), cs.scores.tolist()):
             order = fb.red_order if is_red else fb.ill_order
-            assert score == pytest.approx(1.0 - order.index(sid) / (b - 1))
+            assert score == 1.0 - order.index(sid) / (b - 1)
 
 
 def _candidate_set(ids, redundant=True, score=0.5):

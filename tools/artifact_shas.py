@@ -26,6 +26,9 @@ any entry changed or vanished.  It covers:
   epoch 3;
 - ``train_random_baseline`` where floor(rho * n) is 0 (n=8, rho=0.1), so no
   epoch drops a sample;
+- ``batch_candidates``' ids, tags and scores on seeded batches of 2 to 129
+  slots whose losses are rounded to exact ties, at rho 0.1, 0.3 and the
+  largest rho below 0.5 (k = floor(b / 2)); training histories rarely tie;
 - the corpus file ``save_dataset`` writes at linear-wide's shape (n=20000,
   dim 32) and probe-mlp's (n=2000, dim 128), and the arrays ``load_dataset``
   reads back from it;
@@ -169,6 +172,22 @@ def no_drop_shas(sp, tmp: Path) -> dict[str, str]:
     return _run_shas(sp, tmp, "n8_rho0.1/train_random_baseline", sp.train_random_baseline(ds, cfg), ds)
 
 
+def selection_shas() -> dict[str, str]:
+    """``batch_candidates`` on tied losses, up to the k = floor(b / 2) boundary."""
+    import numpy as np
+    from scanprune.pruner import batch_candidates
+
+    rng = np.random.default_rng(0)
+    data = b""
+    for b in range(2, 130):
+        ids = rng.permutation(4 * b)[:b]
+        fg, gf = np.round(rng.standard_normal((2, b)), b % 2)  # 0 or 1 decimal: many exact ties
+        for rho in (0.1, 0.3, float(np.nextafter(0.5, 0.0))):
+            cs = batch_candidates(fg, gf, ids, rho)
+            data += cs.ids.tobytes() + cs.redundant.tobytes() + cs.scores.tobytes()
+    return {"lib/batch_candidates/ties": _sha(data)}
+
+
 def corpus_shas(sp, tmp: Path) -> dict[str, str]:
     """The corpus file and its reload at the shapes the benchmark's ``setup_s`` times."""
     out = {}
@@ -304,6 +323,7 @@ def main() -> int:
         shas.update(bench_shape_shas(sp, Path(tmp)))
         shas.update(warmup_exit_shas(sp, Path(tmp)))
         shas.update(no_drop_shas(sp, Path(tmp)))
+        shas.update(selection_shas())
         shas.update(corpus_shas(sp, Path(tmp)))
         cwd = os.getcwd()
         os.chdir(tmp)
