@@ -177,6 +177,8 @@ def cmd_schedule(args) -> int:
         raise CliError("epochs must be >= 0")
     if args.tau_cos < 1:
         raise CliError("tau_cos must be >= 1")
+    if args.tau_cos > 2**32:  # train's bound: tau_cos < tau_stop <= 2**32
+        raise CliError(f"tau_cos must be <= {2**32}, the u32 limit of rounds.bin's epochs")
     print("epoch,phase,rho_cur")
     for epoch in range(args.epochs):
         phase = round_phase(epoch, 0, args.tau_cos)

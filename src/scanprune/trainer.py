@@ -73,6 +73,8 @@ class TrainConfig:
             raise TrainerError("tau_cos must be >= 1")
         if self.tau_stop <= self.tau_cos:
             raise TrainerError("tau_stop must exceed tau_cos")
+        if self.tau_stop > 2**32:  # rounds.bin stores epochs 0 .. tau_stop - 1 as u32
+            raise TrainerError(f"tau_stop must be <= {2**32}, the u32 limit of rounds.bin's epochs")
         if self.lr <= 0.0:
             raise TrainerError("lr must be positive")
         if self.out_dim < 1:

@@ -355,6 +355,8 @@ def test_bad_invocations_of_a_real_process_exit_2_3_or_4_without_a_traceback(dat
     # no traceback or NumPy warning, and nothing is written.  b"\xff" is a path
     # byte that is not UTF-8.
     (tmp_path / "taken").write_text("")
+    huge = str(10 ** 400)  # no float holds it: math.ceil(tau_stop / 4) once raised OverflowError
+    (tmp_path / "huge.cfg").write_text(f"tau_stop = {huge}\n")
     gen = ["gen-data", "--n", "16", "--dim", "4", "--num-classes", "2", "--out", "x.bin"]
     train = ["train", "--data", str(data_file), "--out", "run"]
     cases = [  # argv, exit code, the end of stderr's last line
@@ -365,6 +367,10 @@ def test_bad_invocations_of_a_real_process_exit_2_3_or_4_without_a_traceback(dat
         (train + ["--batch-size", "16", "--tau-stop", "8", "--lr", "1e300"], 4,
          "training failed: overflow at epoch 0: overflow encountered in multiply"),
         (train + ["--batch-size", "2", "--tau-cos", "1", "--rho", "0.4999999999999999"], 4, "counts as 0.5"),
+        (train + ["--tau-stop", huge], 4, "tau_stop must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
+        (train + ["--config", "huge.cfg"], 4, "tau_stop must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
+        (["schedule", "--tau-cos", huge, "--epochs", "2"], 4,
+         "tau_cos must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
         (train + ["--out", b"taken/\xff"], 3, "Not a directory: 'taken'"),
         (train + ["--batch-size", "many"], 2, "argument --batch-size: invalid int value: 'many'"),
         (["schedule", "--tau-cos", "3", "--epochs", "-1"], 4, "epochs must be >= 0"),
@@ -380,7 +386,7 @@ def test_bad_invocations_of_a_real_process_exit_2_3_or_4_without_a_traceback(dat
         err = proc.stderr.decode(errors="replace")
         assert proc.returncode == code and err.endswith(message + "\n"), (argv, err)
         assert "Traceback" not in err and "Warning" not in err, (argv, err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.bin", "taken"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.bin", "huge.cfg", "taken"]
 
 
 def test_compare_malformed_metrics_exit_4(data_file, tmp_path, capsys):
@@ -718,52 +724,6 @@ def test_failed_train_leaves_no_run(data_file, tmp_path, monkeypatch, capsys, re
     assert "disk full" in capsys.readouterr().err
     assert run.is_dir() and not (run / "manifest.json").exists()
     assert main(["compare", "--runs", str(run)]) == 3
-
-
-def test_failed_manifest_write_leaves_no_manifest(data_file, tmp_path, monkeypatch, capsys):
-    run = tmp_path / "run"
-    real = Path.write_text
-
-    def half_then_disk_full(self, text, *args, **kwargs):
-        real(self, text[:len(text) // 2], *args, **kwargs)
-        raise OSError("disk full")
-
-    monkeypatch.setattr(Path, "write_text", half_then_disk_full)
-    assert _train(data_file, run) == 3
-    assert "disk full" in capsys.readouterr().err
-    monkeypatch.undo()
-    assert not list(run.glob("manifest.json*"))
-    assert main(["compare", "--runs", str(run)]) == 3
-
-
-def test_failed_gen_data_leaves_the_old_corpus(data_file, tmp_path, monkeypatch, capsys):
-    old = data_file.read_bytes()
-
-    def header_then_disk_full(ds, path):
-        Path(path).write_bytes(old[:20])
-        raise OSError("disk full")
-
-    monkeypatch.setattr("scanprune.cli.save_dataset", header_then_disk_full)
-    assert main(["gen-data", "--n", "80", "--dim", "8", "--num-classes", "4", "--out", str(data_file)]) == 3
-    assert "disk full" in capsys.readouterr().err
-    assert data_file.read_bytes() == old
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.bin"]
-
-
-def test_failed_export_leaves_the_old_coreset(data_file, tmp_path, monkeypatch, capsys):
-    cs = _export(data_file, tmp_path)
-    old = cs.read_bytes()
-
-    def header_then_disk_full(path, header, ids):
-        Path(path).write_text(f"# {header}\n0\n")
-        raise OSError("disk full")
-
-    monkeypatch.setattr("scanprune.coreset.write_ids", header_then_disk_full)
-    assert main(["export-coreset", "--run-a", str(tmp_path / "ra"), "--run-b", str(tmp_path / "rb"),
-                 "--rho", "0.3", "--out", str(cs)]) == 3
-    assert "disk full" in capsys.readouterr().err
-    assert cs.read_bytes() == old
-    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_compare_reads_only_listed_files(data_file, tmp_path, capsys):

@@ -272,12 +272,13 @@ def test_config_validation():
     for bad in (dict(rho=0.0), dict(rho=0.5), dict(rho=nan), dict(batch_size=1),
                 dict(tau_stop=3), dict(tau_cos=0), dict(lr=0.0), dict(lr=nan), dict(lr=inf),
                 dict(t_td=nan), dict(t_td=inf), dict(out_dim=0), dict(mlp=True, hidden_dim=0),
-                dict(hidden_dim=16)):
+                dict(hidden_dim=16), dict(tau_stop=2**32 + 1)):
         cfg = _cfg(**bad)
         with pytest.raises(TrainerError):
             cfg.validate()
         with pytest.raises(TrainerError):
             train_full(_ds(n=16), cfg)
+    _cfg(tau_stop=2**32).validate()  # its last epoch, 2**32 - 1, fits rounds.bin's u32
 
 
 def test_apply_sgd_matches_out_of_place_update():

@@ -49,7 +49,10 @@ any entry changed or vanished.  It covers:
   directory goes; and of a ``gen-data`` whose ``--noise-sigma`` overflows
   (1e300, 1e308) and a ``train`` whose ``--lr`` does (1e300); and of a
   ``train`` given ``--epsilon 0`` or a config file with an ``epsilon`` key
-  (the warm-up rule's 1e-12 guard is a constant, not an option).
+  (the warm-up rule's 1e-12 guard is a constant, not an option); and of a
+  ``train`` whose ``tau_stop`` (flag or config key) and a ``schedule`` whose
+  ``--tau-cos`` is 10**400, past the 2**32 bound (an uncaught exception
+  counts as exit 1, as a process would give).
 
 The CLI runs in a temporary directory with relative paths, so manifests and
 the coreset header are the same bytes in every checkout.
@@ -271,6 +274,8 @@ def cli_shas(main) -> dict[str, str]:
                 return main(list(argv))
             except SystemExit as exc:  # argparse's refusal
                 return exc.code
+            except Exception:  # a traceback, which a process exits 1 with
+                return 1
 
     Path("taken").write_text("")
     bad_out = {  # command -> the --out values it refuses
@@ -289,6 +294,12 @@ def cli_shas(main) -> dict[str, str]:
     out["cli/epsilon_exit_codes"] = _sha(json.dumps([exit_code("train", *common, *flags, "--out", "epsilon")
                                                      for flags in (("--epsilon", "0"),
                                                                    ("--config", "epsilon.cfg"))]).encode())
+    huge = str(10 ** 400)
+    Path("huge.cfg").write_text(f"tau_stop = {huge}\n")
+    huge_tau = (("train", *common, "--tau-stop", huge, "--out", "huge"),
+                ("train", *common, "--config", "huge.cfg", "--out", "huge"),
+                ("schedule", "--tau-cos", huge, "--epochs", "2"))
+    out["cli/huge_tau_exit_codes"] = _sha(json.dumps([exit_code(*argv) for argv in huge_tau]).encode())
     return out
 
 
