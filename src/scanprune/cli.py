@@ -189,15 +189,18 @@ def cmd_schedule(args) -> int:
 # ----------------------------------------------------------- export-coreset
 
 def cmd_export_coreset(args) -> int:
-    summaries = []
+    summaries, manifests = [], []
     for run in (args.run_a, args.run_b):
         history, _, n = rundir.read_rounds(run)
         summaries.append(PrunedSummary.from_candidates(run, history[-1], n))
+        manifests.append(rundir.read_run(run)[0])
     a, b = summaries
     try:
         ids = export_coreset(a, b, args.rho)
     except CoresetError as exc:
         raise CliError(str(exc)) from exc
+    dataset = manifests[0].get("dataset")  # after export_coreset, whose size check names both n
+    rundir.check_dataset(args.run_b, manifests[1], dataset.get("sha256") if isinstance(dataset, dict) else None)
     save_coreset(ids, a.n, args.rho, (args.run_a, args.run_b), args.out)
     print(f"wrote {_fmt(args.out)} |coreset|={len(ids)} of n={a.n}")
     return EXIT_OK

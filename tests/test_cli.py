@@ -342,10 +342,16 @@ def test_static_without_coreset_exit_4(data_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def _child_env() -> dict:
+    """The environment with ``src`` put first on ``PYTHONPATH``, so a child process imports this scanprune."""
+    src = str(Path(scanprune.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "scanprune.cli", "schedule",
                            "--tau-cos", "2", "--epochs", "3"],
-                          capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "epoch,phase,rho_cur"
 
@@ -378,8 +384,7 @@ def test_bad_invocations_of_a_real_process_exit_2_3_or_4_without_a_traceback(dat
          "No such file or directory: 'absent/manifest.json'"),
         (["compare", "--runs", "taken"], 3, "Not a directory: 'taken/manifest.json'"),
     ]
-    src = str(Path(scanprune.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     for argv, code, message in cases:
         proc = subprocess.run([sys.executable, "-m", "scanprune.cli", *argv], cwd=tmp_path, env=env,
                               capture_output=True)
@@ -690,6 +695,22 @@ def test_export_coreset_from_corpora_of_different_n_exit_4(data_file, tmp_path, 
     assert not out.exists()
 
 
+def test_export_coreset_from_corpora_of_the_same_n_exit_4(data_file, tmp_path, capsys):
+    # same n, another seed: the candidate ids name unrelated samples
+    other = tmp_path / "other.bin"
+    assert main(["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--seed", "4",
+                 "--out", str(other)]) == 0
+    ra, rb, out = tmp_path / "ra", tmp_path / "rb", tmp_path / "coreset.txt"
+    assert _train(data_file, ra, "--seed", "1") == 0
+    assert _train(other, rb, "--seed", "2") == 0
+    capsys.readouterr()
+    assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb), "--rho", "0.25",
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert f"{rb}: was not trained on the dataset with SHA-256" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_compare_data_sha_mismatch_exit_4(data_file, tmp_path, capsys):
     run = tmp_path / "run"
     assert _train(data_file, run) == 0
@@ -706,24 +727,6 @@ def test_compare_data_sha_mismatch_exit_4(data_file, tmp_path, capsys):
     assert main(["compare", "--runs", str(run), "--data", str(data_file)]) == 4
     assert "SHA-256" in capsys.readouterr().err
     assert main(["compare", "--runs", str(run)]) == 0  # no --data, nothing to check
-
-
-def _fail_checkpoint(params, path):
-    raise OSError("disk full")
-
-
-@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
-def test_failed_train_leaves_no_run(data_file, tmp_path, monkeypatch, capsys, reuse):
-    # the manifest is the commit marker: a write that fails after the old
-    # manifest is removed leaves a directory no command reads as a run
-    run = tmp_path / "run"
-    if reuse:
-        assert _train(data_file, run) == 0
-    monkeypatch.setattr("scanprune.cli.save_checkpoint", _fail_checkpoint)
-    assert _train(data_file, run, "--method", "full") == 3
-    assert "disk full" in capsys.readouterr().err
-    assert run.is_dir() and not (run / "manifest.json").exists()
-    assert main(["compare", "--runs", str(run)]) == 3
 
 
 def test_compare_reads_only_listed_files(data_file, tmp_path, capsys):
@@ -1113,8 +1116,8 @@ def test_train_flags_and_config_fuzzed_exit_0_2_3_or_4(fuzz_data, case):
 # Both rules hold for every command that writes: an empty --out exits 4, and an
 # --out the OS would refuse (a directory where the file goes, a file where a
 # directory goes) exits 3.  Paths are relative to a copy of ``work``: a corpus,
-# two scan runs, the coreset exported from them, a file ``taken`` and an empty
-# directory ``dir``.
+# two scan runs on it, the coreset exported from them, a scan run ``rc`` on
+# another corpus of the same n, a file ``taken`` and an empty directory ``dir``.
 
 @pytest.fixture(scope="module")
 def work(fuzz_data):
@@ -1125,6 +1128,10 @@ def work(fuzz_data):
         assert _train(root / "ds.bin", root / run, "--seed", seed) == 0
     assert main(["export-coreset", "--run-a", str(root / "ra"), "--run-b", str(root / "rb"), "--rho", "0.25",
                  "--out", str(root / "coreset.txt")]) == 0
+    other = fuzz_data.parent / "other.bin"
+    assert main(["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--seed", "4",
+                 "--out", str(other)]) == 0
+    assert _train(other, root / "rc", "--seed", "1") == 0
     (root / "taken").write_text("")
     (root / "dir").mkdir()
     return root
@@ -1209,7 +1216,7 @@ _PATHS = st.sampled_from(["", ".", "dir", "dir/", "taken", "taken/x", "absent", 
                           "\udcff", "n\udce9w.out", "ra/\udcff"])
 # Text that is not a number, undecodable bytes among it; no NUL, which no argv can hold.
 _NUMBER = st.sampled_from([v for v in _GARBAGE_TEXT if "\x00" not in v] + ["\udcff", "1\udcff"])
-_RUN = st.sampled_from(["ra", "rb/"])
+_RUN = st.sampled_from(["ra", "rb/", "rc"])
 _OUT = st.sampled_from(["new.out", "dir/new.out", "ds.bin", "n\udce9w.out"])
 _RUN_OUT = st.sampled_from(["new.run", "dir/new.run", "ra", "n\udce9w.run"])
 
@@ -1301,6 +1308,9 @@ def test_gen_data_export_and_compare_fuzzed_exit_0_2_3_or_4(work, command, data)
                 assert changed <= {str(written)}, (argv, changed)
                 if command == "export-coreset":
                     assert load_coreset(out), argv  # whole, and never empty
+                    corpora = {read_run(argv[argv.index(flag) + 1])[0]["dataset"]["sha256"]
+                               for flag in ("--run-a", "--run-b")}
+                    assert len(corpora) == 1, argv  # both runs trained on one corpus
                 else:
                     load_dataset(out)  # raises unless whole
         else:  # a refused command, compare or schedule writes nothing: no *.tmp, no partial artifact

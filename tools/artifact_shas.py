@@ -52,7 +52,8 @@ any entry changed or vanished.  It covers:
   (the warm-up rule's 1e-12 guard is a constant, not an option); and of a
   ``train`` whose ``tau_stop`` (flag or config key) and a ``schedule`` whose
   ``--tau-cos`` is 10**400, past the 2**32 bound (an uncaught exception
-  counts as exit 1, as a process would give).
+  counts as exit 1, as a process would give); and of an ``export-coreset``
+  whose two scan runs trained on different corpora of the same n.
 
 The CLI runs in a temporary directory with relative paths, so manifests and
 the coreset header are the same bytes in every checkout.
@@ -300,6 +301,10 @@ def cli_shas(main) -> dict[str, str]:
                 ("train", *common, "--config", "huge.cfg", "--out", "huge"),
                 ("schedule", "--tau-cos", huge, "--epochs", "2"))
     out["cli/huge_tau_exit_codes"] = _sha(json.dumps([exit_code(*argv) for argv in huge_tau]).encode())
+    run("gen-data", "--n", "600", "--dim", "16", "--num-classes", "6", "--seed", "6", "--out", "other.bin")
+    run("train", "--out", "other_scan", *common, "--data", "other.bin", "--seed", "1")  # the later --data wins
+    out["cli/mixed_corpora_exit_code"] = _sha(json.dumps(exit_code(
+        "export-coreset", "--run-a", "scan1", "--run-b", "other_scan", "--rho", "0.3", "--out", "mixed.txt")).encode())
     return out
 
 
