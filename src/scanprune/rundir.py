@@ -147,6 +147,14 @@ def read_run(path) -> tuple[dict, list[EpochRecord]]:
     return manifest, records
 
 
+def dataset_sha(path, manifest: dict) -> str:
+    """The dataset SHA-256 the run's manifest records; RunDirError naming the run if it records none."""
+    dataset = manifest.get("dataset")
+    if not (isinstance(dataset, dict) and isinstance(dataset.get("sha256"), str)):
+        raise RunDirError(f"bad run directory {path}: its manifest records no dataset SHA-256")
+    return dataset["sha256"]
+
+
 def check_dataset(path, manifest: dict, data_sha: str) -> None:
     """Raise unless the manifest records ``data_sha`` as the run's dataset SHA-256."""
     dataset = manifest.get("dataset")
@@ -166,9 +174,9 @@ def _rounds_layout(n: int, rounds: int, size: int, mutates: int, excluded: int) 
             "excluded": ((excluded,), "<i8")}
 
 
-def read_rounds(path) -> tuple[list[CandidateSet], dict[int, np.ndarray], int]:
-    """A scan run's candidate set per round, its excluded ids per Mutate epoch and its
-    dataset size n; RunDirError on a malformed file, an excluded id outside [0, n),
+def read_rounds(path) -> tuple[dict, list[CandidateSet], dict[int, np.ndarray], int]:
+    """A scan run's manifest, its candidate set per round, its excluded ids per Mutate
+    epoch and its dataset size n; RunDirError on a malformed file, an excluded id outside [0, n),
     Mutate epochs out of order or an ``n`` other than the first epoch's ``active_size``."""
     path = Path(path)
     manifest, records = read_run(path)
@@ -194,4 +202,4 @@ def read_rounds(path) -> tuple[list[CandidateSet], dict[int, np.ndarray], int]:
             cands.validate(n)
     except (DatasetError, ValueError, PrunerError) as exc:
         raise RunDirError(f"bad rounds file {path / ROUNDS}: {exc}") from exc
-    return history, dict(zip(epochs.tolist(), np.split(excluded, np.cumsum(counts)[:-1]))), n
+    return manifest, history, dict(zip(epochs.tolist(), np.split(excluded, np.cumsum(counts)[:-1]))), n

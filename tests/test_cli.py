@@ -69,7 +69,7 @@ def test_train_writes_run_artifacts(data_file, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "manifest.json", "metrics.jsonl",
                                                      "rounds.bin"]
     # one round, prepared at epoch 2; mutation epochs 3-5 each exclude ids from it
-    history, exclusions, n = read_rounds(out)
+    _, history, exclusions, n = read_rounds(out)
     assert n == 64 and [c.built_at_epoch for c in history] == [2] and sorted(exclusions) == [3, 4, 5]
     assert len(read_metrics(out / "metrics.jsonl")) == 6
     load_checkpoint(out / "checkpoint.bin")  # parses cleanly
@@ -92,13 +92,16 @@ def test_train_repeat_is_bit_identical(data_file, tmp_path):
     assert masked(a) == masked(b)
 
 
-def test_export_coreset_and_static_training(data_file, tmp_path):
+def test_export_coreset_and_static_training(data_file, tmp_path, monkeypatch):
     ra, rb = tmp_path / "ra", tmp_path / "rb"
     assert _train(data_file, ra, "--seed", "1") == 0
     assert _train(data_file, rb, "--seed", "2") == 0
     cs = tmp_path / "coreset.txt"
+    reads = []
+    monkeypatch.setattr("scanprune.rundir.read_metrics", lambda path: reads.append(path) or read_metrics(path))
     assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb),
                  "--rho", "0.25", "--out", str(cs)]) == 0
+    assert reads == [ra / "metrics.jsonl", rb / "metrics.jsonl"]  # each run read once
     ids = load_coreset(cs)
     assert len(ids) == 64 - 16
     assert ids == sorted(set(ids)) and min(ids) >= 0 and max(ids) < 64
@@ -552,7 +555,7 @@ def test_export_coreset_rejects_bad_candidates(data_file, tmp_path, capsys):
         "tag 2": (_set("redundant", (0, 0), 2), "a tag is neither 0"),
         "id out of range": (_set("ids", (0, 0), 64), "must lie in [0, 64)"),
         "negative id": (_set("ids", (0, 0), -1), "must lie in [0, 64)"),
-        "duplicate id": (_set("ids", (0, 1), read_rounds(ra)[0][0].ids[0]), "appears more than once"),
+        "duplicate id": (_set("ids", (0, 1), read_rounds(ra)[1][0].ids[0]), "appears more than once"),
         "NaN score": (_set("scores", (0, 0), float("nan")), "scores must be finite"),
         "n differs from the run's": (_set("header", 0, 65), "n=65, but the first epoch"),
         "counts that do not sum": (_set("excluded_count", 0, 1), "excluded_count sums to"),
@@ -709,6 +712,19 @@ def test_export_coreset_from_corpora_of_the_same_n_exit_4(data_file, tmp_path, c
     captured = capsys.readouterr()
     assert f"{rb}: was not trained on the dataset with SHA-256" in captured.err and captured.out == ""
     assert not out.exists()
+
+    intact = {run: (run / "manifest.json").read_text() for run in (ra, rb)}
+    for stripped in ((rb,), (ra,), (ra, rb)):  # manifests that record no dataset hash; the first is named
+        for run, text in intact.items():
+            manifest = json.loads(text)
+            if run in stripped:
+                del manifest["dataset"]["sha256"]
+            (run / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb), "--rho", "0.25",
+                     "--out", str(out)]) == 4, stripped
+        err = capsys.readouterr().err
+        assert str(stripped[0]) in err and "None" not in err, stripped
+        assert not out.exists(), stripped
 
 
 def test_compare_data_sha_mismatch_exit_4(data_file, tmp_path, capsys):

@@ -162,25 +162,6 @@ def test_save_load_roundtrip(tmp_path):
     assert header == "# n=20 rho=0.3 runs=run-a,run-b"
 
 
-def _ids_then_fail(count):
-    yield from range(count)
-    raise OSError("disk full")
-
-
-def test_failed_save_leaves_no_short_coreset(tmp_path):
-    fresh = tmp_path / "fresh.txt"
-    with pytest.raises(OSError, match="disk full"):
-        save_coreset(_ids_then_fail(10), n=100, rho=0.3, runs=("a", "b"), path=fresh)
-    assert not fresh.exists()
-    previous = tmp_path / "previous.txt"
-    save_coreset(range(70), n=100, rho=0.3, runs=("a", "b"), path=previous)
-    before = previous.read_bytes()
-    with pytest.raises(OSError, match="disk full"):
-        save_coreset(_ids_then_fail(10), n=100, rho=0.3, runs=("c", "d"), path=previous)
-    assert previous.read_bytes() == before
-    assert sorted(q.name for q in tmp_path.iterdir()) == ["previous.txt"]
-
-
 def test_load_coreset_checks_the_header(tmp_path):
     path = tmp_path / "coreset.txt"
     save_coreset(range(14), n=20, rho=0.3, runs=("a", "b"), path=path)

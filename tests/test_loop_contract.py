@@ -167,8 +167,8 @@ def test_every_epoch_keeps_the_loop_contract(case):
         assert rundir.read_run(tmp) == (manifest, result.records)
         assert _weights(load_checkpoint(os.path.join(tmp, rundir.CHECKPOINT))) == _weights(result.params)
         if scan:
-            history, exclusions, n_read = rundir.read_rounds(tmp)
-            assert n_read == n and list(exclusions) == mutates
+            manifest_read, history, exclusions, n_read = rundir.read_rounds(tmp)
+            assert manifest_read == manifest and n_read == n and list(exclusions) == mutates
             for got, want in zip(history, result.candidate_history, strict=True):
                 assert got.built_at_epoch == want.built_at_epoch
                 for name in ("ids", "redundant", "scores"):

@@ -100,14 +100,6 @@ def test_run_is_deterministic():
     assert all(np.array_equal(a.exclusions[e], b.exclusions[e]) for e in a.exclusions)
 
 
-def test_exclusions_are_sorted_int64_arrays():
-    res = train_scan(_ds(), _cfg())
-    assert res.exclusions
-    for excluded in res.exclusions.values():
-        assert isinstance(excluded, np.ndarray) and excluded.dtype == np.int64 and excluded.ndim == 1
-        assert (np.diff(excluded) > 0).all()
-
-
 def test_warmup_trajectory_shared_with_full():
     ds = _ds()
     scan = train_scan(ds, _cfg())
@@ -115,13 +107,6 @@ def test_warmup_trajectory_shared_with_full():
     for rs, rf in zip(scan.records[:2], full.records[:2]):
         assert rs.mean_loss_fg == rf.mean_loss_fg
         assert rs.mean_loss_gf == rf.mean_loss_gf
-
-
-def test_train_full_uses_all_samples():
-    ds = _ds()
-    res = train_full(ds, _cfg())
-    assert all(r.active_size == ds.n for r in res.records)
-    assert len(res.records) == 10
 
 
 def test_candidate_provenance_and_budget():

@@ -53,7 +53,9 @@ any entry changed or vanished.  It covers:
   ``train`` whose ``tau_stop`` (flag or config key) and a ``schedule`` whose
   ``--tau-cos`` is 10**400, past the 2**32 bound (an uncaught exception
   counts as exit 1, as a process would give); and of an ``export-coreset``
-  whose two scan runs trained on different corpora of the same n.
+  whose two scan runs trained on different corpora of the same n; and of
+  ``export-coreset`` on intact runs, on those corpora, and with run-b's or
+  both runs' manifests stripped of their dataset SHA-256.
 
 The CLI runs in a temporary directory with relative paths, so manifests and
 the coreset header are the same bytes in every checkout.
@@ -305,6 +307,15 @@ def cli_shas(main) -> dict[str, str]:
     run("train", "--out", "other_scan", *common, "--data", "other.bin", "--seed", "1")  # the later --data wins
     out["cli/mixed_corpora_exit_code"] = _sha(json.dumps(exit_code(
         "export-coreset", "--run-a", "scan1", "--run-b", "other_scan", "--rho", "0.3", "--out", "mixed.txt")).encode())
+    codes = []
+    for run_b, stripped in (("scan2", None), ("other_scan", None), ("scan2", "scan2"), ("scan2", "scan1")):
+        if stripped:  # run-b's dataset SHA-256, then run-a's too
+            manifest = json.loads(Path(stripped, "manifest.json").read_text())
+            del manifest["dataset"]["sha256"]
+            Path(stripped, "manifest.json").write_text(json.dumps(manifest))
+        codes.append(exit_code("export-coreset", "--run-a", "scan1", "--run-b", run_b, "--rho", "0.3",
+                               "--out", "checked.txt"))
+    out["cli/export_coreset_dataset_exit_codes"] = _sha(json.dumps(codes).encode())
     return out
 
 
