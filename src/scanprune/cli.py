@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
         raise CliError(f"training failed: {exc}") from exc
 
     # Written only after training, so a failed run leaves no directory behind.
-    manifest = rundir.write_run(args.out, args.method, cfg, args.data, data_sha, result, ds.n, save_checkpoint)
+    manifest = rundir.write_run(args.out, args.method, cfg, args.data, data_sha, result, save_checkpoint)
     print(f"run {manifest['run_id']} method={args.method} epochs={len(result.records)} "
           f"final_loss={_fmt(result.mean_loss)}")
     return EXIT_OK

@@ -168,7 +168,7 @@ def generate_paired_dataset(spec: GenSpec) -> PairedDataset:
 
     corruption = np.zeros(spec.n, dtype=np.uint8)
     # Row 0 stays clean so every duplicate has an earlier clean source.
-    corrupt_ids = rng.permutation(np.arange(1, spec.n))[: n_mm + n_dup] if spec.n > 1 else np.array([], dtype=int)
+    corrupt_ids = rng.permutation(np.arange(1, spec.n))[: n_mm + n_dup]
     corruption[corrupt_ids[:n_mm]] = MISMATCHED
     corruption[corrupt_ids[n_mm:]] = DUPLICATE
 

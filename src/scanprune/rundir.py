@@ -86,9 +86,9 @@ def read_metrics(path) -> list[EpochRecord]:
     return records
 
 
-def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, result: RunResult, n: int,
-              save_checkpoint) -> dict:
-    """Write a RunResult's artifacts into ``out``, then commit and return its manifest."""
+def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, result: RunResult, save_checkpoint) -> dict:
+    """Write a RunResult's artifacts into ``out``, then commit and return its manifest.  A scan
+    run's n is its first epoch's ``active_size``: warm-up trains on all n samples."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST).unlink(missing_ok=True)
@@ -98,7 +98,7 @@ def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, resu
     if result.candidate_history:
         history, exclusions = result.candidate_history, sorted(result.exclusions.items())
         excluded = np.concatenate([np.empty(0, np.int64), *(ids for _, ids in exclusions)])
-        header = (n, len(history), len(history[0]), len(exclusions), excluded.size)
+        header = (result.records[0].active_size, len(history), len(history[0]), len(exclusions), excluded.size)
         columns = [[c.built_at_epoch for c in history], [c.ids for c in history],  # _rounds_layout's order
                    [c.redundant for c in history], [c.scores for c in history],
                    [epoch for epoch, _ in exclusions], [ids.size for _, ids in exclusions], excluded]
@@ -157,10 +157,9 @@ def dataset_sha(path, manifest: dict) -> str:
 
 def check_dataset(path, manifest: dict, data_sha: str) -> None:
     """Raise unless the manifest records ``data_sha`` as the run's dataset SHA-256."""
-    dataset = manifest.get("dataset")
-    if not isinstance(dataset, dict) or dataset.get("sha256") != data_sha:
+    if dataset_sha(path, manifest) != data_sha:
         raise RunDirError(f"{path}: was not trained on the dataset with SHA-256 {data_sha} "
-                          f"(its manifest records another or none)")
+                          "(its manifest records another)")
 
 
 def _rounds_layout(n: int, rounds: int, size: int, mutates: int, excluded: int) -> dict:

@@ -253,10 +253,8 @@ def train_full(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
 
 def train_random_baseline(ds: PairedDataset, cfg: TrainConfig) -> RunResult:
     """Post-warm-up epochs uniformly drop floor(rho * n) samples, redrawn each epoch."""
-    cfg.validate()  # before rho is read
-    drop = prune_count(cfg.rho, ds.n)
-
     def active_ids(epoch: int, phase):
+        drop = prune_count(cfg.rho, ds.n)  # _train calls this only after cfg.validate()
         if phase.kind is PhaseKind.WARMUP or drop == 0:
             return np.arange(ds.n)
         rng = _shuffle_rng(cfg.seed, epoch, stream=3)

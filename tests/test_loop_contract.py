@@ -161,7 +161,7 @@ def test_every_epoch_keeps_the_loop_contract(case):
         assert _weights(result.params) == _weights(full.params)
 
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = rundir.write_run(tmp, case.method, cfg, "corpus.bin", "0" * 64, result, n, save_checkpoint)
+        manifest = rundir.write_run(tmp, case.method, cfg, "corpus.bin", "0" * 64, result, save_checkpoint)
         assert manifest["artifacts"] == [rundir.CHECKPOINT, rundir.METRICS, *[rundir.ROUNDS] * scan]
         assert sorted(os.listdir(tmp)) == sorted([rundir.MANIFEST, *manifest["artifacts"]])
         assert rundir.read_run(tmp) == (manifest, result.records)

@@ -25,7 +25,6 @@ from scanprune import blas, trainer
 from scanprune.cli import main
 from scanprune.encoder import Tower, encode
 from scanprune.infonce import gradients
-from scanprune.pruner import prune_count
 from scanprune.scheduler import round_phase, warmup_cap
 from scanprune.trainer import (
     CheckpointError,
@@ -74,16 +73,6 @@ def test_training_follows_the_schedule_table(t_td, capsys):
                                                 for r in records[w:]]  # exact, not only to 6 digits
     if t_td == 0.0:
         assert w == warmup_cap(cfg.tau_stop)  # the loss never rises, so only the cap ends warm-up
-
-
-def test_grow_back_full_size_at_prepare():
-    ds = _ds()
-    res = train_scan(ds, _cfg())
-    for r in res.records:
-        if r.phase in ("WarmUp", "Prepare"):
-            assert r.active_size == ds.n
-        else:
-            assert r.active_size < ds.n
 
 
 def test_run_is_deterministic():
@@ -152,15 +141,6 @@ def test_forward_pass_accounting(monkeypatch):
         assert sum(next(batches) for _ in range(n_batches)) == r.active_size
 
 
-def test_random_baseline_drops_floor_rho_n():
-    ds = _ds(n=250)
-    res = train_random_baseline(ds, _cfg(rho=0.3))
-    post = [r for r in res.records if r.phase != "WarmUp"]
-    assert all(r.active_size == 250 - 75 for r in post)
-    warm = [r for r in res.records if r.phase == "WarmUp"]
-    assert all(r.active_size == 250 for r in warm)
-
-
 def test_random_baseline_tiny_rho_equals_full():
     ds = _ds(n=100)
     cfg = _cfg(rho=1e-6)  # floor(rho*n) = 0: degenerates to full training
@@ -177,17 +157,6 @@ def test_random_baseline_redraws_each_epoch():
     assert len(set(post)) == len(post)
 
 
-def test_random_baseline_drops_prune_count_ids_per_post_warmup_epoch():
-    # the same floor(rho * n) that export-coreset removes
-    for n in (8, 10, 29, 100):
-        ds = _ds(n=n, dim=4, nc=2)
-        for rho in (0.1, 0.29, 0.3, 0.45):
-            res = train_random_baseline(ds, _cfg(rho=rho, tau_stop=4, batch_size=8, out_dim=2))
-            post = [r.active_size for r in res.records if r.phase == "Random"]
-            assert post and post == [n - prune_count(rho, n)] * len(post), (n, rho)
-            assert all(r.active_size == n for r in res.records if r.phase == "WarmUp")
-
-
 def test_static_coreset_all_ids_equals_full():
     ds = _ds(n=128)
     cfg = _cfg()
@@ -195,12 +164,6 @@ def test_static_coreset_all_ids_equals_full():
     full = train_full(ds, cfg)
     assert [r.mean_loss_fg for r in stat.records] == [r.mean_loss_fg for r in full.records]
     assert np.array_equal(stat.params.w_f, full.params.w_f)
-
-
-def test_static_coreset_constant_active_size():
-    ds = _ds(n=200)
-    res = train_static_coreset(ds, range(140), _cfg())
-    assert all(r.active_size == 140 for r in res.records)
 
 
 def test_static_coreset_validation():

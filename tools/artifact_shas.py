@@ -52,10 +52,9 @@ any entry changed or vanished.  It covers:
   (the warm-up rule's 1e-12 guard is a constant, not an option); and of a
   ``train`` whose ``tau_stop`` (flag or config key) and a ``schedule`` whose
   ``--tau-cos`` is 10**400, past the 2**32 bound (an uncaught exception
-  counts as exit 1, as a process would give); and of an ``export-coreset``
-  whose two scan runs trained on different corpora of the same n; and of
-  ``export-coreset`` on intact runs, on those corpora, and with run-b's or
-  both runs' manifests stripped of their dataset SHA-256.
+  counts as exit 1, as a process would give); and of ``export-coreset`` on
+  intact runs, on two scan runs trained on different corpora of the same n,
+  and with run-b's or both runs' manifests stripped of their dataset SHA-256.
 
 The CLI runs in a temporary directory with relative paths, so manifests and
 the coreset header are the same bytes in every checkout.
@@ -305,8 +304,6 @@ def cli_shas(main) -> dict[str, str]:
     out["cli/huge_tau_exit_codes"] = _sha(json.dumps([exit_code(*argv) for argv in huge_tau]).encode())
     run("gen-data", "--n", "600", "--dim", "16", "--num-classes", "6", "--seed", "6", "--out", "other.bin")
     run("train", "--out", "other_scan", *common, "--data", "other.bin", "--seed", "1")  # the later --data wins
-    out["cli/mixed_corpora_exit_code"] = _sha(json.dumps(exit_code(
-        "export-coreset", "--run-a", "scan1", "--run-b", "other_scan", "--rho", "0.3", "--out", "mixed.txt")).encode())
     codes = []
     for run_b, stripped in (("scan2", None), ("other_scan", None), ("scan2", "scan2"), ("scan2", "scan1")):
         if stripped:  # run-b's dataset SHA-256, then run-a's too
