@@ -140,18 +140,22 @@ def cmd_train(args) -> int:
         cfg.validate()
     except TrainerError as exc:
         raise CliError(f"invalid config: {exc}") from exc
+    if args.method == "static" and not args.coreset:
+        raise CliError("--coreset is required for method=static")
+    if args.method != "static" and args.coreset is not None:
+        raise CliError(f"--coreset is read only by method=static, not by method={args.method}")
     ds, data_sha = _read_dataset(args.data)
     if cfg.mlp and cfg.hidden_dim is None:
         # the width init_params gives the hidden layer, so the manifest records it
         cfg = replace(cfg, hidden_dim=ds.dim)
 
+    coreset = None
     if args.method == "static":
-        if not args.coreset:
-            raise CliError("--coreset is required for method=static")
         try:
             coreset_ids = load_coreset(args.coreset, n=ds.n)
         except CoresetError as exc:
             raise CliError(f"bad coreset file: {exc}") from exc
+        coreset = (args.coreset, rundir.sha256(args.coreset))
 
     rundir.check_out(args.out)
     trainers = {"scan": train_scan, "full": train_full, "random": train_random_baseline}
@@ -164,7 +168,8 @@ def cmd_train(args) -> int:
         raise CliError(f"training failed: {exc}") from exc
 
     # Written only after training, so a failed run leaves no directory behind.
-    manifest = rundir.write_run(args.out, args.method, cfg, args.data, data_sha, result, save_checkpoint)
+    manifest = rundir.write_run(args.out, args.method, cfg, args.data, data_sha, result, save_checkpoint,
+                                coreset)
     print(f"run {manifest['run_id']} method={args.method} epochs={len(result.records)} "
           f"final_loss={_fmt(result.mean_loss)}")
     return EXIT_OK

@@ -2,11 +2,12 @@
 
 A run writes ``metrics.jsonl``, ``checkpoint.bin``, for scan ``rounds.bin``
 (each round's candidates and excluded ids), and a ``manifest.json`` listing
-every artifact plus the config snapshot and dataset hash, so any run is
-reproducible from its manifest alone.  The manifest is the commit marker:
-``write_run`` removes the old one first and moves the new one in last with
-``os.replace``, and readers open only the files it lists, so a failing or
-killed write leaves no run.  There is no fsync: a power loss is not covered.
+every artifact plus the config snapshot and the path and hash of the dataset
+and of a static run's coreset, so any run is reproducible from its manifest
+alone.  The manifest is the commit marker: ``write_run`` removes the old one
+first and moves the new one in last with ``os.replace``, and readers open
+only the files it lists, so a failing or killed write leaves no run.  There
+is no fsync: a power loss is not covered.
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ def read_metrics(path) -> list[EpochRecord]:
     return records
 
 
-def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, result: RunResult, save_checkpoint) -> dict:
+def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, result: RunResult, save_checkpoint,
+              coreset: tuple[str, str] | None = None) -> dict:
     """Write a RunResult's artifacts into ``out``, then commit and return its manifest.  A scan
-    run's n is its first epoch's ``active_size``: warm-up trains on all n samples."""
+    run's n is its first epoch's ``active_size``: warm-up trains on all n samples.  A static
+    run gives its ``coreset`` file's path and SHA-256, which the manifest and ``run_id`` record."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST).unlink(missing_ok=True)
@@ -109,12 +112,16 @@ def write_run(out, method: str, cfg: TrainConfig, data_path, data_sha: str, resu
 
     snapshot = asdict(cfg)
     snapshot["mode"] = cfg.mode.value
-    run_key = json.dumps([snapshot, method, data_sha], sort_keys=True).encode()
+    run_key = [snapshot, method, data_sha]
+    inputs = {"dataset": {"path": str(Path(data_path)), "sha256": data_sha}}
+    if coreset is not None:
+        inputs["coreset"] = {"path": str(Path(coreset[0])), "sha256": coreset[1]}
+        run_key.append(coreset[1])
     manifest = {
-        "run_id": hashlib.sha256(run_key).hexdigest()[:16],
+        "run_id": hashlib.sha256(json.dumps(run_key, sort_keys=True).encode()).hexdigest()[:16],
         "method": method,
         "config": snapshot,
-        "dataset": {"path": str(Path(data_path)), "sha256": data_sha},
+        **inputs,
         "out_dir": str(out),
         "artifacts": sorted(artifacts),
     }

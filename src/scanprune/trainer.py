@@ -366,10 +366,14 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 def load_checkpoint(path) -> EncoderParams:
     """Read a checkpoint written by :func:`save_checkpoint`; CheckpointError for
-    any file the frame or the layout rejects."""
+    any file the frame or the layout rejects, or that holds a non-finite number
+    (training never writes one: a non-finite loss or an overflow raises)."""
     try:
         _, arrays = read_frame(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 4, _checkpoint_layout)
     except DatasetError as exc:
         raise CheckpointError(str(exc)) from exc
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{name} must be finite")
     log_temp = arrays.pop("log_temp")
     return EncoderParams(log_temp=float(log_temp[0]), **arrays)

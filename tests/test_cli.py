@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import scanprune
-from scanprune import load_dataset
+from scanprune import load_dataset, rundir
 from scanprune.cli import main
 from scanprune.coreset import load_coreset
 from scanprune.dataset import DUPLICATE, MISMATCHED, DatasetError, read_frame, write_frame
@@ -39,6 +40,11 @@ def _train(data_file, out_dir, *extra):
             "--tau-stop", "6", "--t-td", "1.0", "--batch-size", "32",
             "--out-dim", "4", "--lr", "0.1", "--rho", "0.3"]
     return main(args + list(extra))
+
+
+def _masked_metrics(run: Path) -> list[dict]:
+    """A run's epoch records with ``wall_ms`` zeroed."""
+    return [dict(json.loads(line), wall_ms=0.0) for line in (run / "metrics.jsonl").read_text().splitlines()]
 
 
 def test_gen_data_writes_loadable_corpus(data_file):
@@ -80,16 +86,7 @@ def test_train_repeat_is_bit_identical(data_file, tmp_path):
     assert _train(data_file, a, "--seed", "5") == 0
     assert _train(data_file, b, "--seed", "5") == 0
     assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
-
-    def masked(path):
-        recs = []
-        for line in (path / "metrics.jsonl").read_text().splitlines():
-            rec = json.loads(line)
-            rec["wall_ms"] = 0.0
-            recs.append(rec)
-        return recs
-
-    assert masked(a) == masked(b)
+    assert _masked_metrics(a) == _masked_metrics(b)
 
 
 def test_export_coreset_and_static_training(data_file, tmp_path, monkeypatch):
@@ -364,8 +361,7 @@ def test_bad_invocations_of_a_real_process_exit_2_3_or_4_without_a_traceback(dat
     # no traceback or NumPy warning, and nothing is written.  b"\xff" is a path
     # byte that is not UTF-8.
     (tmp_path / "taken").write_text("")
-    huge = str(10 ** 400)  # no float holds it: math.ceil(tau_stop / 4) once raised OverflowError
-    (tmp_path / "huge.cfg").write_text(f"tau_stop = {huge}\n")
+    (tmp_path / "huge.cfg").write_text(f"tau_stop = {_HUGE}\n")
     gen = ["gen-data", "--n", "16", "--dim", "4", "--num-classes", "2", "--out", "x.bin"]
     train = ["train", "--data", str(data_file), "--out", "run"]
     cases = [  # argv, exit code, the end of stderr's last line
@@ -376,9 +372,9 @@ def test_bad_invocations_of_a_real_process_exit_2_3_or_4_without_a_traceback(dat
         (train + ["--batch-size", "16", "--tau-stop", "8", "--lr", "1e300"], 4,
          "training failed: overflow at epoch 0: overflow encountered in multiply"),
         (train + ["--batch-size", "2", "--tau-cos", "1", "--rho", "0.4999999999999999"], 4, "counts as 0.5"),
-        (train + ["--tau-stop", huge], 4, "tau_stop must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
+        (train + ["--tau-stop", _HUGE], 4, "tau_stop must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
         (train + ["--config", "huge.cfg"], 4, "tau_stop must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
-        (["schedule", "--tau-cos", huge, "--epochs", "2"], 4,
+        (["schedule", "--tau-cos", _HUGE, "--epochs", "2"], 4,
          "tau_cos must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
         (train + ["--out", b"taken/\xff"], 3, "Not a directory: 'taken'"),
         (train + ["--batch-size", "many"], 2, "argument --batch-size: invalid int value: 'many'"),
@@ -487,101 +483,6 @@ def test_hidden_dim_without_mlp_exit_4(data_file, tmp_path, capsys):
         assert "invalid config" in err and "hidden_dim" in err and "mlp" in err, extra
         assert not out.exists()
     assert _train(data_file, tmp_path / "mlp", "--config", str(cfg), "--mlp") == 0
-
-
-@pytest.mark.parametrize("case", ["cut inside the header", "version 2"])
-def test_compare_checkpoint_header_cut_or_of_another_version_exit_4(data_file, tmp_path, capsys, case):
-    run = tmp_path / "run"
-    assert _train(data_file, run) == 0
-    ckpt = run / "checkpoint.bin"
-    raw = ckpt.read_bytes()
-    # header: magic, then 20 bytes of u32 version, is_mlp, dim, hidden, out_dim
-    bad, message = {"cut inside the header": (raw[:4 + 13], "truncated header"),
-                    "version 2": (raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported version 2")}[case]
-    ckpt.write_bytes(bad)
-    capsys.readouterr()
-    assert main(["compare", "--runs", str(run), "--data", str(data_file)]) == 4
-    captured = capsys.readouterr()
-    assert "cannot probe" in captured.err and message in captured.err
-    assert captured.out == ""
-
-
-def test_compare_checkpoint_header_of_no_model_exit_4(data_file, tmp_path, capsys):
-    run = tmp_path / "run"
-    assert _train(data_file, run) == 0
-    ckpt = run / "checkpoint.bin"
-    raw = ckpt.read_bytes()
-    ckpt.write_bytes(raw[:20] + struct.pack("<I", 0) + raw[24:])  # out_dim=0
-    capsys.readouterr()
-    assert main(["compare", "--runs", str(run), "--data", str(data_file)]) == 4
-    captured = capsys.readouterr()
-    assert "cannot probe" in captured.err and "no model" in captured.err
-    assert captured.out == ""
-
-
-def _edit_rounds(path, edit) -> None:
-    """Rewrite the rounds file at ``path`` after ``edit(header, arrays)`` changes its fields in place."""
-    header, arrays = read_frame(path, _ROUNDS_MAGIC, _ROUNDS_VERSION, 5, _rounds_layout)
-    edit(header, arrays)
-    write_frame(path, _ROUNDS_MAGIC, (_ROUNDS_VERSION, *header), list(arrays.values()))
-
-
-def _set(name, index, value):
-    """An edit that sets one header field or array element."""
-    def edit(header, arrays):
-        (header if name == "header" else arrays[name])[index] = value
-    return edit
-
-
-def _no_round(header, arrays):
-    header[1] = 0
-    for name in ("built_at_epoch", "ids", "redundant", "scores"):
-        arrays[name] = arrays[name][:0]
-
-
-def test_export_coreset_rejects_bad_candidates(data_file, tmp_path, capsys):
-    ra, rb = tmp_path / "ra", tmp_path / "rb"
-    assert _train(data_file, ra, "--seed", "1") == 0
-    assert _train(data_file, rb, "--seed", "2") == 0
-    path = ra / "rounds.bin"
-    original = path.read_bytes()
-
-    cases = {  # name -> (the file's bytes, or an edit of its header and arrays; the error's text)
-        "bad magic": (b"SCNX" + original[4:], "bad magic"),
-        "another version": (original[:4] + struct.pack("<I", 2) + original[8:], "unsupported version 2"),
-        "truncated": (original[:-1], "truncated"),
-        "overlong": (original + b"\0", "overlong"),
-        "no round": (_no_round, "declares no round"),
-        "tag 2": (_set("redundant", (0, 0), 2), "a tag is neither 0"),
-        "id out of range": (_set("ids", (0, 0), 64), "must lie in [0, 64)"),
-        "negative id": (_set("ids", (0, 0), -1), "must lie in [0, 64)"),
-        "duplicate id": (_set("ids", (0, 1), read_rounds(ra)[1][0].ids[0]), "appears more than once"),
-        "NaN score": (_set("scores", (0, 0), float("nan")), "scores must be finite"),
-        "n differs from the run's": (_set("header", 0, 65), "n=65, but the first epoch"),
-        "counts that do not sum": (_set("excluded_count", 0, 1), "excluded_count sums to"),
-        "excluded id out of range": (_set("excluded", 0, 64), "excluded ids must lie in [0, 64)"),
-        "Mutate epochs out of order": (_set("mutate_epoch", 1, 3), "mutate_epoch must be strictly increasing"),
-    }
-    for name, (bad, message) in cases.items():
-        path.write_bytes(original)
-        if callable(bad):
-            _edit_rounds(path, bad)
-            assert path.read_bytes() != original, name
-        else:
-            path.write_bytes(bad)
-        out = tmp_path / "coreset.txt"
-        capsys.readouterr()
-        assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb),
-                     "--rho", "0.25", "--out", str(out)]) == 4, name
-        err = capsys.readouterr().err
-        assert "bad rounds file" in err and message in err, name
-        assert not out.exists(), name
-
-    path.write_bytes(original)
-    (ra / "metrics.jsonl").write_text("{\n")
-    assert main(["export-coreset", "--run-a", str(ra), "--run-b", str(rb),
-                 "--rho", "0.25", "--out", str(out)]) == 4
-    assert "bad run directory" in capsys.readouterr().err
 
 
 def test_static_coreset_non_integer_line_exit_4(data_file, tmp_path, capsys):
@@ -896,6 +797,50 @@ def test_static_coreset_without_header_still_trains(data_file, tmp_path):
     assert all(r.active_size == 22 for r in read_metrics(out / "metrics.jsonl"))
 
 
+def test_static_manifest_names_its_coreset(work, tmp_path, monkeypatch, capsys):
+    shutil.copytree(work, tmp_path / "work")
+    monkeypatch.chdir(tmp_path / "work")
+    manifests = {}
+    for name, ids in (("low", range(32)), ("high", range(32, 64))):
+        Path(f"{name}.txt").write_text("".join(f"{i}\n" for i in ids))
+        assert main(["train", "--data", "ds.bin", "--out", name, "--tau-stop", "6", "--method", "static",
+                     "--coreset", f"{name}.txt"]) == 0
+        manifests[name] = json.loads(Path(name, "manifest.json").read_text())
+        assert manifests[name]["coreset"] == {"path": f"{name}.txt", "sha256": rundir.sha256(f"{name}.txt")}
+    assert manifests["low"]["run_id"] != manifests["high"]["run_id"]
+
+    # a static run written before the manifest named its coreset still reads
+    compare = ["compare", "--runs", "low,high", "--data", "ds.bin"]
+    capsys.readouterr()
+    assert main(compare) == 0
+    want = capsys.readouterr().out
+    for name, manifest in manifests.items():
+        del manifest["coreset"]
+        Path(name, "manifest.json").write_text(json.dumps(manifest, indent=2))
+    assert main(compare) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("method", ["scan", "full", "random", "static"])
+def test_a_run_is_rebuilt_from_its_manifest_alone(work, tmp_path, monkeypatch, method):
+    shutil.copytree(work, tmp_path / "work")
+    monkeypatch.chdir(tmp_path / "work")
+    inputs = ["--data", "ds.bin"] + (["--coreset", "coreset.txt"] if method == "static" else [])
+    assert main(["train", "--out", "first", "--method", method, *inputs, "--tau-stop", "6", "--batch-size", "32",
+                 "--seed", "3", "--mlp"]) == 0
+    manifest = json.loads(Path("first", "manifest.json").read_text())
+    Path("rebuilt.cfg").write_text("".join(f"{key} = {value}\n" for key, value in manifest["config"].items()
+                                           if value is not None))
+    inputs = ["--data", manifest["dataset"]["path"]]
+    if manifest["method"] == "static":
+        inputs += ["--coreset", manifest["coreset"]["path"]]
+    assert main(["train", "--out", "second", "--method", manifest["method"], "--config", "rebuilt.cfg",
+                 *inputs]) == 0
+    first, second = Path("first"), Path("second")
+    assert (first / "checkpoint.bin").read_bytes() == (second / "checkpoint.bin").read_bytes()
+    assert _masked_metrics(first) == _masked_metrics(second)
+
+
 def test_compare_empty_runs_entry_exit_4(data_file, tmp_path, capsys, monkeypatch):
     run = tmp_path / "run"
     assert _train(data_file, run) == 0
@@ -1133,7 +1078,8 @@ def test_train_flags_and_config_fuzzed_exit_0_2_3_or_4(fuzz_data, case):
 # --out the OS would refuse (a directory where the file goes, a file where a
 # directory goes) exits 3.  Paths are relative to a copy of ``work``: a corpus,
 # two scan runs on it, the coreset exported from them, a scan run ``rc`` on
-# another corpus of the same n, a file ``taken`` and an empty directory ``dir``.
+# another corpus of the same n, a corpus ``n80.bin`` of another n and dim and a
+# scan run ``rn`` on it, a file ``taken`` and an empty directory ``dir``.
 
 @pytest.fixture(scope="module")
 def work(fuzz_data):
@@ -1148,6 +1094,9 @@ def work(fuzz_data):
     assert main(["gen-data", "--n", "64", "--dim", "8", "--num-classes", "4", "--seed", "4",
                  "--out", str(other)]) == 0
     assert _train(other, root / "rc", "--seed", "1") == 0
+    assert main(["gen-data", "--n", "80", "--dim", "6", "--num-classes", "4", "--seed", "3",
+                 "--out", str(root / "n80.bin")]) == 0
+    assert _train(root / "n80.bin", root / "rn", "--seed", "1") == 0
     (root / "taken").write_text("")
     (root / "dir").mkdir()
     return root
@@ -1188,6 +1137,346 @@ def test_bad_out_exits_alike_in_every_command(work, tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert _tree(tmp_path) == before  # nothing written, not even a temporary file
+
+
+# ------------------------------------------------- every refusal, one by one
+#
+# Each row of ``_DEFECTS`` plants one defect into the undamaged invocation of
+# its base, run in a fresh copy of ``work``: flags added to the base's argv, a
+# ``--config`` file body (bytes), or an edit of one file.  It gives the exit
+# code and the message: all of stderr is ``error code=N msg=<text>`` for codes
+# 3 and 4, and argparse's last line ends in the text for code 2.  The rows reach
+# every refusal a single defect can cause, except a bad --out, which
+# ``_BAD_OUT`` holds.  "<SHA-256 of ds.bin>" in a text stands for that hash.
+
+_BASES = {
+    "gen-data": [*_GEN_ARGV, "--out", "new.bin"],
+    "train": ["train", "--data", "ds.bin", "--out", "run"],
+    "train-static": ["train", "--data", "ds.bin", "--out", "run", "--method", "static", "--coreset", "coreset.txt"],
+    "schedule": ["schedule", "--tau-cos", "3", "--epochs", "8"],
+    "export-coreset": ["export-coreset", "--run-a", "ra", "--run-b", "rb", "--rho", "0.25", "--out", "new.txt"],
+    "compare-data": ["compare", "--runs", "ra,rb", "--data", "ds.bin"],
+}
+_DS_SHA = "<SHA-256 of ds.bin>"
+
+
+def _write(path, data: bytes):
+    """A plant: ``path`` holds ``data``."""
+    return lambda: Path(path).write_bytes(data)
+
+
+def _rewrite(path, edit):
+    """A plant: ``path`` holds ``edit`` of its bytes."""
+    return lambda: Path(path).write_bytes(edit(Path(path).read_bytes()))
+
+
+def _pack(at: int, fmt: str, *values):
+    """A bytes edit: ``values`` packed as ``fmt`` over the bytes at offset ``at`` (from the end if negative)."""
+    def edit(raw):
+        start = at % len(raw)
+        return raw[:start] + struct.pack(fmt, *values) + raw[start + struct.calcsize(fmt):]
+    return edit
+
+
+def _json(path, edit):
+    """A plant: ``path`` holds ``edit`` of its JSON."""
+    return lambda: Path(path).write_text(json.dumps(edit(json.loads(Path(path).read_text()))))
+
+
+def _remove(path):
+    """A plant: ``path`` is gone."""
+    return lambda: Path(path).unlink()
+
+
+def _rounds(edit):
+    """A plant: ra's rounds file rewritten after ``edit(header, arrays)`` changes its fields in place."""
+    def plant():
+        header, arrays = read_frame("ra/rounds.bin", _ROUNDS_MAGIC, _ROUNDS_VERSION, 5, _rounds_layout)
+        edit(header, arrays)
+        write_frame("ra/rounds.bin", _ROUNDS_MAGIC, (_ROUNDS_VERSION, *header), list(arrays.values()))
+    return plant
+
+
+def _set(name, index, value):
+    """A rounds edit that sets one header field or array element."""
+    def edit(header, arrays):
+        (header if name == "header" else arrays[name])[index] = value
+    return edit
+
+
+def _no_round(header, arrays):
+    header[1] = 0
+    for name in ("built_at_epoch", "ids", "redundant", "scores"):
+        arrays[name] = arrays[name][:0]
+
+
+_HUGE = str(10 ** 400)  # no float holds it: math.ceil(tau_stop / 4) once raised OverflowError
+_NAN, _INF = float("nan"), float("inf")
+_NO_SHA = lambda m: {**m, "dataset": {"path": m["dataset"]["path"]}}  # noqa: E731
+# offsets: a dataset's views start at 20 and its labels at 20 + 2 * 64 * 8 * 4; a
+# checkpoint's first weight at 24, its log_temp in the last 8 bytes
+_DEFECTS = [  # (base, plant, exit code, message)
+    ("gen-data", ("--num-classes", "1"), 4, "invalid gen spec: num_classes must be >= 2"),
+    ("gen-data", ("--n", "1"), 4, "invalid gen spec: n must be >= num_classes"),
+    ("gen-data", ("--dim", "1"), 4, "invalid gen spec: dim must be >= 2"),
+    ("gen-data", ("--mismatch-frac", "1.5"), 4, "invalid gen spec: corruption fractions must lie in [0, 1]"),
+    ("gen-data", ("--duplicate-frac", "nan"), 4, "invalid gen spec: corruption fractions must lie in [0, 1]"),
+    ("gen-data", ("--mismatch-frac", "0.6", "--duplicate-frac", "0.6"), 4,
+     "invalid gen spec: mismatch_frac + duplicate_frac must be <= 1"),
+    ("gen-data", ("--noise-sigma", "inf"), 4, "invalid gen spec: noise_sigma must be finite and >= 0"),
+    ("gen-data", ("--noise-sigma", "nan"), 4, "invalid gen spec: noise_sigma must be finite and >= 0"),
+    ("gen-data", ("--seed", "-1"), 4, "invalid gen spec: seed must be >= 0"),
+    ("gen-data", ("--n", "4294967296"), 4,
+     "invalid gen spec: n, dim and num_classes must be <= 4294967295, the header's u32 limit"),
+    ("gen-data", ("--duplicate-frac", "1"), 4, "invalid gen spec: duplicates require at least one clean row"),
+    ("gen-data", ("--num-classes", "7"), 4,
+     "invalid gen spec: could not place 7 prototypes with pairwise dot <= 0.5 in 2 dimensions"),
+    ("gen-data", ("--noise-sigma", "1e300"), 4,
+     "invalid gen spec: noise_sigma=1e+300 overflows the float32 views (overflow encountered in cast)"),
+    ("gen-data", ("--noise-sigma", "1e308"), 4,
+     "invalid gen spec: noise_sigma=1e+308 overflows the float32 views (overflow encountered in multiply)"),
+    ("gen-data", ("--n", "many"), 2, "argument --n: invalid int value: 'many'"),
+
+    ("train", ("--rho", "nan"), 4, "invalid config: rho must be finite"),
+    ("train", ("--t-td", "inf"), 4, "invalid config: t_td must be finite"),
+    ("train", ("--lr", "nan"), 4, "invalid config: lr must be finite"),
+    ("train", ("--rho", "0.5"), 4, "invalid config: rho must lie in (0, 0.5)"),
+    ("train", ("--rho", "0.4999999999999999"), 4,
+     "invalid config: rho=0.4999999999999999 is within prune_count's 1e-9 of 0.5, so it counts as 0.5"),
+    ("train", ("--batch-size", "1"), 4, "invalid config: batch_size must be >= 2 (InfoNCE needs negatives)"),
+    ("train", ("--tau-cos", "0"), 4, "invalid config: tau_cos must be >= 1"),
+    ("train", ("--tau-stop", "3"), 4, "invalid config: tau_stop must exceed tau_cos"),
+    ("train", ("--tau-stop", _HUGE), 4,
+     "invalid config: tau_stop must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
+    ("train", f"tau_stop = {_HUGE}\n".encode(), 4,
+     "invalid config: tau_stop must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
+    ("train", ("--lr", "0"), 4, "invalid config: lr must be positive"),
+    ("train", ("--out-dim", "0"), 4, "invalid config: out_dim must be >= 1"),
+    ("train", ("--mlp", "--hidden-dim", "0"), 4, "invalid config: hidden_dim must be >= 1"),
+    ("train", ("--hidden-dim", "64"), 4,
+     "invalid config: hidden_dim is set but mlp is not: the linear model has no hidden layer"),
+    ("train", b"hidden_dim = 64\n", 4,
+     "invalid config: hidden_dim is set but mlp is not: the linear model has no hidden layer"),
+    ("train", ("--seed", "-1"), 4, "invalid config: seed must be >= 0"),
+    ("train", b"seed = -2\n", 4, "invalid config: seed must be >= 0"),
+    ("train", b"lr = 0.1\n\xff\n", 4,
+     "bad config file train.cfg: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+    ("train", b"# comment\nlr 0.1\n", 4, "bad config line 2: 'lr 0.1'"),
+    ("train", b"epsilon = 1e-12\n", 4, "unknown config key: epsilon"),
+    ("train", b"mlp = banana\n", 4, "bad value for mlp: 'banana'"),
+    ("train", b"batch_size = 3.0\n", 4, "bad value for batch_size: '3.0'"),
+    ("train", ("--config", "absent.cfg"), 3, "[Errno 2] No such file or directory: 'absent.cfg'"),
+    ("train", ("--config", "dir"), 3, "[Errno 21] Is a directory: 'dir'"),
+    ("train", ("--epsilon", "0"), 2, "unrecognized arguments: --epsilon 0"),
+    ("train", ("--batch-size", "many"), 2, "argument --batch-size: invalid int value: 'many'"),
+    ("train", ("--mode", "bogus"), 2, "argument --mode: invalid Mode value: 'bogus'"),
+    ("train", ("--method", "bogus"), 2,
+     "argument --method: invalid choice: 'bogus' (choose from 'scan', 'full', 'random', 'static')"),
+    ("train", ("--method", "static"), 4, "--coreset is required for method=static"),
+    ("train", ("--coreset", "absent.txt"), 4, "--coreset is read only by method=static, not by method=scan"),
+    ("train", ("--data", "absent.bin"), 3, "[Errno 2] No such file or directory: 'absent.bin'"),
+    ("train", ("--data", "dir"), 3, "[Errno 21] Is a directory: 'dir'"),
+    ("train", _rewrite("ds.bin", lambda raw: b"SCNX" + raw[4:]), 4, "bad dataset file: bad magic b'SCNX'"),
+    ("train", _rewrite("ds.bin", lambda raw: raw[:10]), 4,
+     "bad dataset file: truncated header: expected 16 bytes, got 6"),
+    ("train", _rewrite("ds.bin", _pack(4, "<I", 2)), 4, "bad dataset file: unsupported version 2"),
+    ("train", _rewrite("ds.bin", lambda raw: raw[:-1]), 4,
+     "bad dataset file: truncated: header declares 4416 bytes after it (fields [64, 8, 4]), the file has 4415"),
+    ("train", _rewrite("ds.bin", lambda raw: raw + b"\0"), 4,
+     "bad dataset file: overlong: header declares 4416 bytes after it (fields [64, 8, 4]), the file has 4417"),
+    ("train", _rewrite("ds.bin", _pack(8, "<II", 2**32 - 1, 2**32 - 1)), 4,  # n, dim: checked before allocating
+     "bad dataset file: truncated: header declares 147573952542431772675 bytes after it "
+     "(fields [4294967295, 4294967295, 4]), the file has 4416"),
+    ("train", _rewrite("ds.bin", lambda raw: raw[:12] + struct.pack("<I", 0) + raw[16:20] + raw[-5 * 64:]), 4,
+     "bad dataset file: dim must be >= 1"),
+    ("train", _rewrite("ds.bin", _pack(20, "<f", _NAN)), 4, "bad dataset file: views must be finite"),
+    ("train", _rewrite("ds.bin", _pack(20 + 2 * 64 * 8 * 4, "<I", 4)), 4,
+     "bad dataset file: labels must be < num_classes"),
+    ("train", _rewrite("ds.bin", _pack(-1, "B", 3)), 4,
+     "bad dataset file: corruption flags must be 0 (clean), 1 (mismatched) or 2 (duplicate)"),
+    ("train", _rewrite("ds.bin", lambda raw: raw[:8] + struct.pack("<I", 0) + raw[12:20]), 4,  # n=0
+     "training failed: dataset is empty"),
+    ("train", ("--lr", "1e300"), 4, "training failed: overflow at epoch 1: overflow encountered in multiply"),
+    ("train", ("--out-dim", "100000000000"), 4,  # 5.8 TiB of weights: refused at allocation
+     "out of memory: Unable to allocate 5.82 TiB for an array with shape (100000000000, 8) and data type float64"),
+    ("train", ("--out-dim", "100000000000000000000"), 4,  # a shape NumPy cannot address
+     "out of memory: w_f would hold 100000000000000000000 x 8 float64, past the address space"),
+
+    ("train-static", ("--coreset", "absent.txt"), 3, "[Errno 2] No such file or directory: 'absent.txt'"),
+    ("train-static", ("--coreset", "dir"), 3, "[Errno 21] Is a directory: 'dir'"),
+    ("train-static", _write("coreset.txt", b"0\n\xff\n"), 4,
+     "bad coreset file: coreset.txt: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte"),
+    ("train-static", _write("coreset.txt", b"0\nabc\n"), 4,
+     "bad coreset file: coreset.txt:2: not an integer id: 'abc'"),
+    ("train-static", _write("coreset.txt", b"# n=64 rho=abc runs=a,b\n"), 4,
+     "bad coreset file: coreset.txt: bad rho in header: 'abc'"),
+    ("train-static", _write("coreset.txt", b"# n=64 rho=1 runs=a,b\n"), 4,
+     "bad coreset file: coreset.txt: bad rho in header: '1'"),
+    ("train-static", _rewrite("coreset.txt", lambda raw: raw.replace(b"n=64", b"n=80", 1)), 4,
+     "bad coreset file: coreset.txt: header declares n=80, the dataset has n=64"),
+    ("train-static", _rewrite("coreset.txt", lambda raw: raw[:raw.rindex(b"\n", 0, -1) + 1]), 4,
+     "bad coreset file: coreset.txt: header n=64 rho=0.25 means 48 ids, the file holds 47"),
+    ("train-static", _write("coreset.txt", b""), 4, "training failed: coreset is empty"),
+    ("train-static", _write("coreset.txt", b"0\n64\n"), 4, "training failed: coreset ids out of range"),
+    ("train-static", _write("coreset.txt", b"-1\n0\n"), 4, "training failed: coreset ids out of range"),
+    ("train-static", _write("coreset.txt", b"99999999999999999999\n"), 4, "training failed: coreset ids out of range"),
+    ("train-static", _write("coreset.txt", b"0\n1\n0\n"), 4, "training failed: coreset ids must be distinct"),
+
+    ("schedule", ("--epochs", "-1"), 4, "epochs must be >= 0"),
+    ("schedule", ("--tau-cos", "0"), 4, "tau_cos must be >= 1"),
+    ("schedule", ("--tau-cos", _HUGE), 4, "tau_cos must be <= 4294967296, the u32 limit of rounds.bin's epochs"),
+    ("schedule", ("--epochs", "x"), 2, "argument --epochs: invalid int value: 'x'"),
+
+    ("export-coreset", ("--run-a", "absent"), 3, "[Errno 2] No such file or directory: 'absent/manifest.json'"),
+    ("export-coreset", ("--run-b", "dir"), 3, "[Errno 2] No such file or directory: 'dir/manifest.json'"),
+    ("export-coreset", ("--run-a", "taken"), 3, "[Errno 20] Not a directory: 'taken/manifest.json'"),
+    ("export-coreset", ("--rho", "0"), 4, "rho must lie in (0, 1)"),
+    ("export-coreset", ("--rho", "1"), 4, "rho must lie in (0, 1)"),
+    ("export-coreset", ("--rho", "nan"), 4, "rho must lie in (0, 1)"),
+    ("export-coreset", ("--rho", "0.9999999999999998"), 4,
+     "rho=0.9999999999999998 removes all 64 samples: the coreset would be empty"),
+    ("export-coreset", ("--rho", "x"), 2, "argument --rho: invalid float value: 'x'"),
+    ("export-coreset", ("--run-b", "rn"), 4, "dataset sizes differ: 64 vs 80"),
+    ("export-coreset", ("--run-b", "rc"), 4,
+     f"rc: was not trained on the dataset with SHA-256 {_DS_SHA} (its manifest records another)"),
+    ("export-coreset", _json("ra/manifest.json", _NO_SHA), 4,
+     "bad run directory ra: its manifest records no dataset SHA-256"),
+    ("export-coreset", _json("rb/manifest.json", _NO_SHA), 4,
+     "bad run directory rb: its manifest records no dataset SHA-256"),
+    ("export-coreset", _json("ra/manifest.json", lambda m: {**m, "method": "full"}), 4,
+     "bad run directory ra: its manifest does not list rounds.bin from a scan run"),
+    ("export-coreset", _json("ra/manifest.json", lambda m: {**m, "artifacts": ["checkpoint.bin", "metrics.jsonl"]}),
+     4, "bad run directory ra: its manifest does not list rounds.bin from a scan run"),
+    ("export-coreset", _remove("ra/rounds.bin"), 3, "[Errno 2] No such file or directory: 'ra/rounds.bin'"),
+    ("export-coreset", _rewrite("ra/metrics.jsonl", lambda raw: raw + b"{\n"), 4,
+     "bad run directory ra: ra/metrics.jsonl:7: bad epoch record: "
+     "Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
+    ("export-coreset", _rewrite("ra/rounds.bin", lambda raw: b"SCNX" + raw[4:]), 4,
+     "bad rounds file ra/rounds.bin: bad magic b'SCNX'"),
+    ("export-coreset", _rewrite("ra/rounds.bin", lambda raw: raw[:17]), 4,
+     "bad rounds file ra/rounds.bin: truncated header: expected 24 bytes, got 13"),
+    ("export-coreset", _rewrite("ra/rounds.bin", _pack(4, "<I", 2)), 4,
+     "bad rounds file ra/rounds.bin: unsupported version 2"),
+    ("export-coreset", _rewrite("ra/rounds.bin", lambda raw: raw[:-1]), 4, "bad rounds file ra/rounds.bin: "
+     "truncated: header declares 1216 bytes after it (fields [64, 1, 36, 3, 72]), the file has 1215"),
+    ("export-coreset", _rewrite("ra/rounds.bin", lambda raw: raw + b"\0"), 4, "bad rounds file ra/rounds.bin: "
+     "overlong: header declares 1216 bytes after it (fields [64, 1, 36, 3, 72]), the file has 1217"),
+    ("export-coreset", _rounds(_no_round), 4, "bad rounds file ra/rounds.bin: header declares no round"),
+    ("export-coreset", _rounds(_set("redundant", (0, 0), 2)), 4,
+     "bad rounds file ra/rounds.bin: a tag is neither 0 (ill-matched) nor 1 (redundant)"),
+    ("export-coreset", _rounds(_set("ids", (0, 0), 64)), 4,
+     "bad rounds file ra/rounds.bin: candidate ids must lie in [0, 64)"),
+    ("export-coreset", _rounds(_set("ids", (0, 0), -1)), 4,
+     "bad rounds file ra/rounds.bin: candidate ids must lie in [0, 64)"),
+    ("export-coreset", _rounds(_set("ids", (0, slice(0, 2)), 0)), 4,
+     "bad rounds file ra/rounds.bin: sample 0 appears more than once"),
+    ("export-coreset", _rounds(_set("scores", (0, 0), _NAN)), 4,
+     "bad rounds file ra/rounds.bin: candidate scores must be finite"),
+    ("export-coreset", _rounds(_set("header", 0, 65)), 4,
+     "bad rounds file ra/rounds.bin: n=65, but the first epoch in metrics.jsonl trained on 64 samples"),
+    ("export-coreset", _rounds(_set("excluded_count", 0, 1)), 4,
+     "bad rounds file ra/rounds.bin: excluded_count sums to 64, not to the 72 excluded ids"),
+    ("export-coreset", _rounds(_set("excluded", 0, 64)), 4,
+     "bad rounds file ra/rounds.bin: excluded ids must lie in [0, 64)"),
+    ("export-coreset", _rounds(_set("mutate_epoch", 1, 3)), 4,
+     "bad rounds file ra/rounds.bin: mutate_epoch must be strictly increasing"),
+
+    ("compare-data", ("--probe-seed", "-1"), 4, "--probe-seed must be >= 0, got -1"),
+    ("compare-data", ("--probe-seed", "x"), 2, "argument --probe-seed: invalid int value: 'x'"),
+    ("compare-data", ("--runs", "ra,"), 4, "--runs has an empty entry: 'ra,'"),
+    ("compare-data", ("--runs", "absent"), 3, "[Errno 2] No such file or directory: 'absent/manifest.json'"),
+    ("compare-data", ("--runs", "dir"), 3, "[Errno 2] No such file or directory: 'dir/manifest.json'"),
+    ("compare-data", ("--runs", "taken"), 3, "[Errno 20] Not a directory: 'taken/manifest.json'"),
+    ("compare-data", ("--data", "absent.bin"), 3, "[Errno 2] No such file or directory: 'absent.bin'"),
+    ("compare-data", ("--data", "dir"), 3, "[Errno 21] Is a directory: 'dir'"),
+    ("compare-data", _rewrite("ds.bin", lambda raw: raw + b"\0"), 4,
+     "bad dataset file: overlong: header declares 4416 bytes after it (fields [64, 8, 4]), the file has 4417"),
+    ("compare-data", ("--data", "n80.bin"), 4, "ra: checkpoint dim 8 differs from dataset dim 6"),
+    ("compare-data", ("--runs", "rc"), 4,
+     f"rc: was not trained on the dataset with SHA-256 {_DS_SHA} (its manifest records another)"),
+    ("compare-data", _json("ra/manifest.json", _NO_SHA), 4,
+     "bad run directory ra: its manifest records no dataset SHA-256"),
+    ("compare-data", _write("ra/manifest.json", b"{not json"), 4,
+     "bad run directory ra: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("compare-data", _write("ra/manifest.json", b"[]"), 4,
+     "bad run directory ra: manifest.json has no method or artifacts list"),
+    ("compare-data", _json("ra/manifest.json", lambda m: {**m, "artifacts": ["checkpoint.bin", "rounds.bin"]}), 4,
+     "bad run directory ra: its manifest does not list metrics.jsonl"),
+    ("compare-data", _json("ra/manifest.json", lambda m: {**m, "artifacts": ["metrics.jsonl", "rounds.bin"]}), 4,
+     "bad run directory ra: its manifest does not list checkpoint.bin"),
+    ("compare-data", _remove("ra/metrics.jsonl"), 3, "[Errno 2] No such file or directory: 'ra/metrics.jsonl'"),
+    ("compare-data", _write("ra/metrics.jsonl", b""), 4, "bad run directory ra: no epoch records in metrics.jsonl"),
+    ("compare-data", _write("ra/metrics.jsonl", b"\xff\n"), 4,
+     "bad run directory ra: ra/metrics.jsonl:1: bad epoch record: "
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("compare-data", _rewrite("ra/metrics.jsonl", lambda raw: raw.replace(b'"epoch": 0', b'"epoch": true', 1)), 4,
+     "bad run directory ra: ra/metrics.jsonl:1: epoch record has a wrongly typed field or a non-finite number"),
+    ("compare-data", _rewrite("ra/metrics.jsonl", lambda raw: json.dumps(dict(json.loads(raw.splitlines()[0]),
+                                                                          wall_ms=10 ** 400)).encode()),
+     4, "bad run directory ra: ra/metrics.jsonl:1: epoch record has a wrongly typed field or a non-finite number"),
+    ("compare-data", _remove("ra/checkpoint.bin"), 3, "[Errno 2] No such file or directory: 'ra/checkpoint.bin'"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", lambda raw: b"SCNX" + raw[4:]), 4,
+     "cannot probe ra: bad magic b'SCNX'"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", lambda raw: raw[:17]), 4,
+     "cannot probe ra: truncated header: expected 20 bytes, got 13"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", _pack(4, "<I", 2)), 4, "cannot probe ra: unsupported version 2"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", lambda raw: raw[:-1]), 4,
+     "cannot probe ra: truncated: header declares 520 bytes after it (fields [0, 8, 0, 4]), the file has 519"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", lambda raw: raw + b"\0"), 4,
+     "cannot probe ra: overlong: header declares 520 bytes after it (fields [0, 8, 0, 4]), the file has 521"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", _pack(20, "<I", 0)), 4,
+     "cannot probe ra: header declares no model: is_mlp=0 dim=8 hidden=0 out_dim=0"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", _pack(8, "<I", 2)), 4,
+     "cannot probe ra: header declares no model: is_mlp=2 dim=8 hidden=0 out_dim=4"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", _pack(24, "<d", _NAN)), 4, "cannot probe ra: w_f must be finite"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", _pack(24, "<d", _INF)), 4, "cannot probe ra: w_f must be finite"),
+    ("compare-data", _rewrite("ra/checkpoint.bin", _pack(-8, "<d", _NAN)), 4,
+     "cannot probe ra: log_temp must be finite"),
+]
+_CONFIG_FLAGS = {"--" + f.name.replace("_", "-") for f in fields(TrainConfig)}
+
+
+def _plant(plant) -> list[str]:
+    """Plant one defect in the current directory; the flags to add to the base's argv."""
+    if isinstance(plant, bytes):
+        Path("train.cfg").write_bytes(plant)
+        return ["--config", "train.cfg"]
+    if callable(plant):
+        plant()
+        return []
+    return list(plant)
+
+
+@pytest.mark.parametrize("base", list(_BASES))
+def test_each_single_defect_exits_with_its_code_and_message(work, tmp_path, monkeypatch, capsys, base):
+    argv = _BASES[base]
+    assert argv[0] != "train" or not _CONFIG_FLAGS & set(argv)  # a flag would win over a config row's key
+    rows = [((), 0, "")] + [row[1:] for row in _DEFECTS if row[0] == base]
+    for i, (plant, code, text) in enumerate(rows):
+        shutil.copytree(work, tmp_path / str(i))
+        monkeypatch.chdir(tmp_path / str(i))
+        full = [*argv, *_plant(plant)]
+        text = text.replace(_DS_SHA, rundir.sha256("ds.bin"))
+        before = _tree(tmp_path / str(i))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = main(full)
+            except SystemExit as exc:  # argparse's refusal
+                got = exc.code
+        out, err = capsys.readouterr()
+        assert not caught, (full, [str(w.message) for w in caught])
+        if not code:  # the undamaged base
+            assert got == 0, (full, err)
+            continue
+        assert got == code, (full, text, err)
+        if code == 2:
+            assert err.splitlines()[-1].endswith(text), (full, err)
+        else:
+            assert err == f"error code={code} msg={text}\n", full
+        assert out == "", full
+        assert _tree(tmp_path / str(i)) == before, full  # no --out, no run directory, no *.tmp
 
 
 def _strict_utf8_stdout() -> io.TextIOWrapper:
